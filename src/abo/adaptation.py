@@ -71,7 +71,6 @@ class ScalingState:
     theta0: np.ndarray
     b0: float
     reference_exponent: float = 0.9
-    estimator: str = REGRET_BOUND
     gamma_exponent: float | None = None
     h_prev: float = 1.0
 

@@ -278,7 +278,6 @@ def run_agp_ucb(objective: ObjectiveSpec, config: AlgorithmConfig) -> RunTrace:
         theta0=run.theta0,
         b0=config.b0,
         reference_exponent=config.reference_exponent,
-        estimator=config.estimator,
         gamma_exponent=(
             float(d)
             if run.kernel0.family == SQUARED_EXPONENTIAL

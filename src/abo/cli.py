@@ -252,7 +252,11 @@ def read_trace(path: str) -> dict:
 
 
 def _seed_offset() -> int:
-    return int(os.environ.get("ABO_SEED_OFFSET", "0"))
+    value = os.environ.get("ABO_SEED_OFFSET", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"ABO_SEED_OFFSET must be an integer, got {value!r}")
 
 
 def _execute_run(args):
@@ -316,6 +320,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
 
     Failures are recorded per run; the remaining runs still execute.
     """
+    _seed_offset()  # a malformed ABO_SEED_OFFSET fails before any run
     out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     jobs = [
@@ -350,15 +355,15 @@ def _cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
             config = parse_config(fh.read())
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        if args.out:
+            config.output_dir = args.out
+        results = run_experiment(config, parallel=args.parallel)
+    except OSError as exc:  # unreadable config or unwritable output directory
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        config.output_dir = args.out
-    results = run_experiment(config, parallel=args.parallel)
     for name, seed, error in results["failures"]:
         print(f"FAILED {name} seed={seed}: {error}", file=sys.stderr)
     n_runs = len(config.algorithms) * len(config.seeds)
@@ -382,6 +387,9 @@ def _cmd_list_presets(_args) -> int:
 
 
 def _cmd_summarize(args) -> int:
+    if not os.path.isdir(args.dir):
+        print(f"error: no such directory: {args.dir}", file=sys.stderr)
+        return 2
     paths = {}
     for entry in sorted(os.listdir(args.dir)):
         if entry.endswith(".csv") and "_seed" in entry:
@@ -390,7 +398,15 @@ def _cmd_summarize(args) -> int:
     if not paths:
         print(f"no trace files in {args.dir}", file=sys.stderr)
         return 1
+    status = 0
     for name, files in paths.items():
+        rows = {p: len(read_trace(p)["iter"]) for p in files}
+        full = max(rows.values())
+        for p in files:
+            if rows[p] < full:
+                print(f"skipped {p}: {rows[p]} rows, expected {full}", file=sys.stderr)
+                status = 1
+        files = [p for p in files if rows[p] == full]
         summary = _write_summary(name, files, args.dir)
         cols = read_summary(summary)
         final = cols["simple_mean"][-1]
@@ -398,7 +414,7 @@ def _cmd_summarize(args) -> int:
             f"{name}: {len(files)} seeds, final mean simple regret "
             f"{final:.6g} -> {summary}"
         )
-    return 0
+    return status
 
 
 def read_summary(path: str) -> dict:

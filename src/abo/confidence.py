@@ -7,11 +7,6 @@ from dataclasses import dataclass
 
 from .gp import GaussianProcess
 
-# Common practice when intervals are treated heuristically rather than as
-# a guarantee: a constant multiplier on the posterior standard deviation.
-EMPIRICAL_BETA_SQRT = 3.0
-
-
 @dataclass(frozen=True)
 class ConfidenceParams:
     """Failure probability, noise level, and RKHS norm bound."""

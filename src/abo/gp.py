@@ -12,14 +12,14 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
 from . import kernels
-from .errors import InvalidObservationError, SingularModelError
+from .errors import DimensionMismatchError, InvalidObservationError, SingularModelError
 from .kernels import KernelSpec
 
 _BASE_JITTER = 1e-10
 _MAX_JITTER = 1e-6
 
 
-def _chol_with_jitter(A: np.ndarray) -> np.ndarray:
+def chol_with_jitter(A: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of A, adding escalating jitter only on failure."""
     jitter = 0.0
     eye = np.eye(A.shape[0])
@@ -32,6 +32,18 @@ def _chol_with_jitter(A: np.ndarray) -> np.ndarray:
         f"Cholesky failed for {A.shape[0]}x{A.shape[0]} matrix even with "
         f"jitter {_MAX_JITTER}"
     )
+
+
+def factorize(K: np.ndarray, noise_sigma: float, y: np.ndarray):
+    """L, alpha = (L L^T)^-1 y and the log evidence of y for L L^T = K + sigma^2 I."""
+    t = y.shape[0]
+    if t == 0:
+        return np.zeros((0, 0)), np.zeros(0), 0.0
+    L = chol_with_jitter(K + noise_sigma**2 * np.eye(t))
+    alpha = solve_triangular(L.T, solve_triangular(L, y, lower=True), lower=False)
+    fit = -0.5 * float(y @ alpha)
+    logdet = float(np.sum(np.log(np.diag(L))))
+    return L, alpha, fit - logdet - 0.5 * t * math.log(2.0 * math.pi)
 
 
 class GaussianProcess:
@@ -61,8 +73,6 @@ class GaussianProcess:
         if X.shape[0] != y.shape[0]:
             raise ValueError("X and y lengths differ")
         if X.shape[0] and X.shape[1] != kernel.dim:
-            from .errors import DimensionMismatchError
-
             raise DimensionMismatchError(
                 f"data dimension {X.shape[1]} != kernel dimension {kernel.dim}"
             )
@@ -73,16 +83,8 @@ class GaussianProcess:
         self._factorize()
 
     def _factorize(self):
-        t = self.num_observations
-        if t == 0:
-            self._L = np.zeros((0, 0))
-            self._alpha = np.zeros(0)
-            return
         K = kernels.gram_matrix(self.kernel, self.X)
-        A = K + self.noise_sigma**2 * np.eye(t)
-        self._L = _chol_with_jitter(A)
-        z = solve_triangular(self._L, self.y, lower=True)
-        self._alpha = solve_triangular(self._L.T, z, lower=False)
+        self._L, self._alpha, self._lml = factorize(K, self.noise_sigma, self.y)
 
     @property
     def num_observations(self) -> int:
@@ -132,9 +134,4 @@ class GaussianProcess:
 
     def log_marginal_likelihood(self) -> float:
         """Gaussian evidence of the observations under the current prior."""
-        t = self.num_observations
-        if t == 0:
-            return 0.0
-        fit = -0.5 * float(self.y @ self._alpha)
-        logdet = float(np.sum(np.log(np.diag(self._L))))
-        return fit - logdet - 0.5 * t * math.log(2.0 * math.pi)
+        return self._lml

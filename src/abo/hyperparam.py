@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import SingularModelError
-from .gp import GaussianProcess
+from .gp import GaussianProcess, factorize
 
 log = logging.getLogger(__name__)
 
@@ -53,17 +54,23 @@ class MapResult:
     log_posterior: float
 
 
-def log_marginal_likelihood(state: GaussianProcess) -> float:
-    """Gaussian evidence of the data under the state's kernel and noise."""
-    return state.log_marginal_likelihood()
+def _log_posterior(state: GaussianProcess, prior: LengthscalePrior):
+    """Memoized theta -> log posterior, bit-identical to a refit; -inf if singular."""
+    diff = state.X[:, None, :] - state.X[None, :, :]
+    memo: dict = {}
 
+    def objective(theta: np.ndarray) -> float:
+        key = theta.tobytes()
+        if key not in memo:
+            K = kernels.profile(state.kernel, kernels.sq_distance(diff, theta))
+            try:
+                *_, lml = factorize(kernels.symmetrize(K), state.noise_sigma, state.y)
+                memo[key] = lml + prior.log_density(theta)
+            except SingularModelError:
+                memo[key] = -math.inf
+        return memo[key]
 
-def _objective(state: GaussianProcess, prior: LengthscalePrior, theta: np.ndarray) -> float:
-    try:
-        swapped = state.set_kernel(state.kernel.with_lengthscales(theta))
-    except SingularModelError:
-        return -math.inf
-    return swapped.log_marginal_likelihood() + prior.log_density(theta)
+    return objective
 
 
 def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
@@ -92,13 +99,15 @@ def map_estimate(
 
     The search box is [1e-3, 100] per dimension, tightened to within one
     decade of ``init``. Deterministic: five fixed starts, three coordinate
-    sweeps each, golden-section per coordinate.
+    sweeps each, golden-section per coordinate. The log posterior is
+    memoized per call, since the starts repeat the same line searches.
     """
     init = np.atleast_1d(np.asarray(init, dtype=float))
     d = init.shape[0]
     lo = np.maximum(BOX_LOW, init / TRUNCATION_FACTOR)
     hi = np.minimum(BOX_HIGH, init * TRUNCATION_FACTOR)
     clip = lambda th: np.clip(th, lo, hi)
+    objective = _log_posterior(state, prior)
 
     starts = [
         clip(init),
@@ -109,14 +118,14 @@ def map_estimate(
     ]
 
     best_theta = clip(init)
-    best_val = _objective(state, prior, best_theta)
+    best_val = objective(best_theta)
     if not math.isfinite(best_val):
         log.warning("MAP objective non-finite at init; returning init")
         return MapResult(best_theta, best_val)
 
     for start in starts:
         theta = start.copy()
-        val = _objective(state, prior, theta)
+        val = objective(theta)
         if not math.isfinite(val):
             continue
         for _ in range(_SWEEPS):
@@ -124,7 +133,7 @@ def map_estimate(
                 def f(log_ti, i=i, theta=theta):
                     cand = theta.copy()
                     cand[i] = math.exp(log_ti)
-                    return _objective(state, prior, cand)
+                    return objective(cand)
 
                 x, fx = _golden_section(
                     f, math.log(lo[i]), math.log(hi[i])

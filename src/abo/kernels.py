@@ -74,12 +74,14 @@ def _check_points(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def cross_gram(spec: KernelSpec, X, X2) -> np.ndarray:
-    """Kernel matrix k(X_i, X2_j) of shape (n, m)."""
-    X = _check_points(spec, X)
-    X2 = _check_points(spec, X2)
-    diff = (X[:, None, :] - X2[None, :, :]) / spec.lengthscales
-    sq = np.einsum("nmd,nmd->nm", diff, diff)
+def sq_distance(diff: np.ndarray, lengthscales) -> np.ndarray:
+    """Squared scaled distances from pairwise differences of shape (n, m, d)."""
+    diff = diff / lengthscales
+    return np.einsum("nmd,nmd->nm", diff, diff)
+
+
+def profile(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
+    """Kernel values as a function of squared scaled distance."""
     if spec.family == SQUARED_EXPONENTIAL:
         return np.exp(-0.5 * sq)
     s = np.sqrt(np.maximum(sq, 0.0))
@@ -88,6 +90,13 @@ def cross_gram(spec: KernelSpec, X, X2) -> np.ndarray:
         return (1.0 + r) * np.exp(-r)
     r = np.sqrt(5.0) * s
     return (1.0 + r + r * r / 3.0) * np.exp(-r)
+
+
+def cross_gram(spec: KernelSpec, X, X2) -> np.ndarray:
+    """Kernel matrix k(X_i, X2_j) of shape (n, m)."""
+    X = _check_points(spec, X)
+    X2 = _check_points(spec, X2)
+    return profile(spec, sq_distance(X[:, None, :] - X2[None, :, :], spec.lengthscales))
 
 
 def evaluate(spec: KernelSpec, x, x2) -> float:
@@ -100,8 +109,11 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.size == 0:
         return np.zeros((0, 0))
-    K = cross_gram(spec, X, X)
-    # enforce exact symmetry/unit diagonal against rounding
+    return symmetrize(cross_gram(spec, X, X))
+
+
+def symmetrize(K: np.ndarray) -> np.ndarray:
+    """Exact symmetry and unit diagonal, enforced against rounding."""
     K = 0.5 * (K + K.T)
     np.fill_diagonal(K, 1.0)
     return K

@@ -15,10 +15,9 @@ from scipy.stats import qmc
 
 from . import kernels
 from .errors import InvalidSpecError
+from .gp import chol_with_jitter
 from .kernels import KernelSpec
 from .rng import make_rng
-
-_NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -196,9 +195,7 @@ def make_gp_sample_function(
             scramble_seed = int(rng.integers(2**32))
             grid = qmc.Sobol(d, scramble=True, seed=scramble_seed).random(grid_size)
     K = kernels.gram_matrix(kernel, grid)
-    from .gp import _chol_with_jitter
-
-    f_grid = _chol_with_jitter(K) @ rng.standard_normal(grid_size)
+    f_grid = chol_with_jitter(K) @ rng.standard_normal(grid_size)
     # interpolation weights solve K w = f_grid; projecting out near-null
     # Gram directions keeps the weights moderate while discarding only a
     # numerically negligible component of the sample

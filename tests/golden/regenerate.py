@@ -1,0 +1,55 @@
+"""Regenerate the golden trace CSVs that ``tests/test_golden.py`` compares.
+
+Each case is one short run (15 iterations, seed 0) written with
+``cli.emit_trace``. Regenerate only for a declared trace change:
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+from abo import algorithms, cli
+from abo.algorithms import AlgorithmConfig
+
+GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
+
+# name -> (problem, algorithm settings); the small constant beta makes the
+# adaptive schedule expand (g > 1) within the short runs
+CASES = {
+    f"agp_ucb_{estimator}_{map_mode}": (
+        "example_rkhs",
+        dict(variant="agp_ucb", estimator=estimator, map_mode=map_mode,
+             beta_mode="empirical", beta_constant=0.5),
+    )
+    for estimator in ("regret_bound", "one_step")
+    for map_mode in ("off", "combine_max", "combine_scale")
+}
+CASES["fixed_gp_ucb_combine_max"] = (
+    "example_rkhs", dict(variant="fixed_gp_ucb", map_mode="combine_max")
+)
+CASES["wang_shrink"] = ("example_rkhs", dict(variant="wang_shrink"))
+# MAP over more than one lengthscale
+CASES["agp_ucb_4d_combine_max"] = (
+    "synthetic_4d",
+    dict(variant="agp_ucb", map_mode="combine_max", theta0=0.5, init_points=4),
+)
+
+
+def write_trace(name: str, path: str) -> None:
+    problem, settings = CASES[name]
+    config = AlgorithmConfig(name=name, iterations=15, seed=0, **settings)
+    cli.emit_trace(algorithms.run(cli.make_objective(problem, 0), config), path)
+
+
+def golden_path(name: str) -> str:
+    return os.path.join(GOLDEN_DIR, f"{name}.csv")
+
+
+if __name__ == "__main__":
+    out_dir = sys.argv[1] if len(sys.argv) > 1 else GOLDEN_DIR
+    for name in CASES:
+        write_trace(name, os.path.join(out_dir, f"{name}.csv"))
+        print(name)

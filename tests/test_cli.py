@@ -224,6 +224,14 @@ class TestRunExperiment:
         b = open(tmp_path / "offset" / "a_seed0.csv", "rb").read()
         assert a != b
 
+    def test_malformed_seed_offset_fails_before_any_run(self, tmp_path, monkeypatch):
+        config = parse_config(SMALL_CONFIG)
+        config.output_dir = str(tmp_path / "out")
+        monkeypatch.setenv("ABO_SEED_OFFSET", "abc")
+        with pytest.raises(ConfigError, match="ABO_SEED_OFFSET must be an integer, got 'abc'"):
+            run_experiment(config)
+        assert not os.path.exists(config.output_dir)
+
 
 class TestCommandLine:
     def test_run_exit_codes(self, tmp_path):
@@ -250,6 +258,46 @@ class TestCommandLine:
     def test_summarize_empty_dir(self, tmp_path):
         os.makedirs(tmp_path / "empty", exist_ok=True)
         assert main(["summarize", str(tmp_path / "empty")]) == 1
+
+    def test_summarize_missing_dir(self, tmp_path, capsys):
+        assert main(["summarize", str(tmp_path / "missing")]) == 2
+        assert "no such directory" in capsys.readouterr().err
+
+    def test_summarize_rewrites_equal_length_summary_identically(self, tmp_path):
+        out = str(tmp_path / "out")
+        main(["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", out])
+        summary = os.path.join(out, "fixed_summary.csv")
+        before = open(summary, "rb").read()
+        assert main(["summarize", out]) == 0
+        assert open(summary, "rb").read() == before
+
+    def test_summarize_skips_short_trace(self, tmp_path, capsys):
+        text = SMALL_CONFIG.replace("seeds = 0, 1", "seeds = 0, 1, 2")
+        out = str(tmp_path / "out")
+        main(["run", "--config", write_config(tmp_path, text), "--out", out])
+        short = os.path.join(out, "fixed_seed1.csv")
+        lines = open(short).read().splitlines(keepends=True)
+        open(short, "w").write("".join(lines[:-2]))  # a run stopped early
+        capsys.readouterr()
+        assert main(["summarize", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"skipped {short}: 5 rows, expected 7"]
+        assert "fixed: 2 seeds" in captured.out
+        summary = read_summary(os.path.join(out, "fixed_summary.csv"))
+        full = [read_trace(os.path.join(out, f"fixed_seed{s}.csv")) for s in (0, 2)]
+        np.testing.assert_allclose(
+            summary["simple_mean"],
+            np.mean([c["simple_regret"] for c in full], axis=0),
+        )
+
+    def test_run_reports_malformed_seed_offset(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ABO_SEED_OFFSET", "abc")
+        good = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["run", "--config", good, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "config error: ABO_SEED_OFFSET must be an integer, got 'abc'"
+        ]
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(

@@ -1,15 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
+from abo import gp as gp_module
+from abo.errors import SingularModelError
 from abo.gp import GaussianProcess
 from abo.hyperparam import (
     LengthscalePrior,
+    _log_posterior,
     combine_max,
     combine_scale,
-    log_marginal_likelihood,
     map_estimate,
 )
-from abo.kernels import KernelSpec, cross_gram
+from abo.kernels import MATERN, KernelSpec, cross_gram
 
 
 class TestPrior:
@@ -33,14 +37,14 @@ class TestPrior:
 class TestLogMarginalLikelihood:
     def test_single_zero_observation(self):
         gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1, [[0.0]], [0.0])
-        assert log_marginal_likelihood(gp) == pytest.approx(
+        assert gp.log_marginal_likelihood() == pytest.approx(
             -0.5 * np.log(1.01) - 0.5 * np.log(2 * np.pi), abs=1e-6
         )
 
     def test_single_unit_observation(self):
         gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1, [[0.0]], [1.0])
         expect = -0.5 / 1.01 - 0.5 * np.log(1.01) - 0.5 * np.log(2 * np.pi)
-        assert log_marginal_likelihood(gp) == pytest.approx(expect, abs=1e-6)
+        assert gp.log_marginal_likelihood() == pytest.approx(expect, abs=1e-6)
 
 
 def sample_from(theta, n, seed, noise=0.05):
@@ -52,6 +56,62 @@ def sample_from(theta, n, seed, noise=0.05):
     X = rng.uniform(size=(n, spec.dim))
     y = cross_gram(spec, X, centers) @ weights + noise * rng.standard_normal(n)
     return X, y
+
+
+KERNELS = {
+    "se": {},
+    "matern15": dict(family=MATERN, nu=1.5),
+    "matern25": dict(family=MATERN, nu=2.5),
+}
+
+
+def gp_path_log_posterior(state, prior, theta):
+    """Reference: refit a GaussianProcess under theta."""
+    refit = state.set_kernel(state.kernel.with_lengthscales(theta))
+    return refit.log_marginal_likelihood() + prior.log_density(theta)
+
+
+class TestLogPosterior:
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("t", [0, 1, 25])
+    def test_bit_identical_to_gp_path(self, kernel, d, t):
+        X, y = sample_from(np.full(d, 0.3), t, seed=t + d)
+        state = GaussianProcess(KernelSpec(np.ones(d), **KERNELS[kernel]), 0.05, X, y)
+        prior = LengthscalePrior()
+        objective = _log_posterior(state, prior)
+        for theta in (np.full(d, 0.01), np.linspace(0.1, 0.7, d), np.full(d, 30.0)):
+            expect = gp_path_log_posterior(state, prior, theta)
+            assert objective(theta) == expect
+            assert objective(theta) == expect  # memoized value
+
+    def test_minus_inf_where_factorization_fails(self, monkeypatch):
+        X, y = sample_from(0.3, 5, seed=0)
+        state = GaussianProcess(KernelSpec(np.ones(1)), 0.05, X, y)
+
+        def failing_cholesky(A, lower):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(gp_module, "cholesky", failing_cholesky)
+        theta = np.array([0.2])
+        with pytest.raises(SingularModelError):
+            gp_path_log_posterior(state, LengthscalePrior(), theta)
+        assert _log_posterior(state, LengthscalePrior())(theta) == -math.inf
+
+    def test_map_estimate_runs_at_most_40_factorizations(self, monkeypatch):
+        X, y = sample_from(0.3, 25, seed=4)
+        state = GaussianProcess(KernelSpec(np.ones(1)), 0.05, X, y)
+        calls = []
+        cholesky = gp_module.cholesky
+
+        def counting_cholesky(A, lower):
+            calls.append(A.shape)
+            return cholesky(A, lower=lower)
+
+        monkeypatch.setattr(gp_module, "cholesky", counting_cholesky)
+        map_estimate(state, LengthscalePrior(), init=np.ones(1))
+        # 5 starts x 3 sweeps x 32 golden-section probes repeat one search
+        assert 0 < len(calls) <= 40
 
 
 class TestMapEstimate:
