@@ -30,6 +30,13 @@ CASES = {
 CASES["fixed_gp_ucb_combine_max"] = (
     "example_rkhs", dict(variant="fixed_gp_ucb", map_mode="combine_max")
 )
+CASES["fixed_gp_ucb_off"] = ("example_rkhs", dict(variant="fixed_gp_ucb"))
+# theoretical beta reads the norm bound b*g^d*B0; small B0 and noise make
+# the schedule expand within the short run
+CASES["agp_ucb_regret_bound_theoretical"] = (
+    "example_rkhs",
+    dict(variant="agp_ucb", estimator="regret_bound", b0=0.5, noise_sigma=0.01),
+)
 CASES["wang_shrink"] = ("example_rkhs", dict(variant="wang_shrink"))
 # MAP over more than one lengthscale
 CASES["agp_ucb_4d_combine_max"] = (
