@@ -2,13 +2,9 @@
 
 from .algorithms import (
     AlgorithmConfig,
-    Domain,
     RunTrace,
     maximize_ucb,
     run,
-    run_agp_ucb,
-    run_fixed_gp_ucb,
-    run_wang_shrink,
 )
 from .confidence import ConfidenceParams, beta_sqrt, confidence_interval
 from .gp import GaussianProcess
@@ -25,7 +21,6 @@ from .objectives import (
 __all__ = [
     "AlgorithmConfig",
     "ConfidenceParams",
-    "Domain",
     "GaussianProcess",
     "KernelSpec",
     "ObjectiveSpec",
@@ -42,9 +37,6 @@ __all__ = [
     "regret_metrics",
     "rkhs_norm_of_expansion",
     "run",
-    "run_agp_ucb",
-    "run_fixed_gp_ucb",
-    "run_wang_shrink",
 ]
 
 __version__ = "0.1.0"

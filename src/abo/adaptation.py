@@ -21,6 +21,7 @@ log = logging.getLogger(__name__)
 
 REGRET_BOUND = "regret_bound"
 ONE_STEP = "one_step"
+ESTIMATORS = (REGRET_BOUND, ONE_STEP)
 
 # Relative tolerance of the h(t) line search.
 H_SOLVE_RTOL = 1e-6

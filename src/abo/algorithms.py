@@ -10,7 +10,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import adaptation, hyperparam
-from .adaptation import ONE_STEP, REGRET_BOUND, ScalingState, decompose
+from .adaptation import ESTIMATORS, REGRET_BOUND, ScalingState, decompose
 from .confidence import ConfidenceParams, beta_sqrt
 from .gp import GaussianProcess
 from .kernels import SQUARED_EXPONENTIAL
@@ -26,6 +26,7 @@ WANG_SHRINK = "wang_shrink"
 MAP_OFF = "off"
 MAP_COMBINE_MAX = "combine_max"
 MAP_COMBINE_SCALE = "combine_scale"
+MAP_MODES = (MAP_OFF, MAP_COMBINE_MAX, MAP_COMBINE_SCALE)
 
 BETA_THEORETICAL = "theoretical"
 BETA_EMPIRICAL = "empirical"
@@ -35,33 +36,6 @@ _RANDOM_EXTRA = 256
 _REFINE_ITERS = 20
 _REFINE_STEP = 0.25
 _REFINE_SHRINK = 0.65
-
-
-@dataclass(frozen=True)
-class Domain:
-    """Axis-aligned box; optimization happens on the rescaled unit cube."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lower.shape != upper.shape or np.any(lower >= upper):
-            raise ValueError("domain needs lower < upper componentwise")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
-    def from_unit(self, u):
-        return self.lower + np.asarray(u) * (self.upper - self.lower)
-
-    @staticmethod
-    def unit_cube(d: int) -> "Domain":
-        return Domain(np.zeros(d), np.ones(d))
 
 
 @dataclass(frozen=True)
@@ -90,11 +64,11 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.variant not in (AGP_UCB, FIXED_GP_UCB, WANG_SHRINK):
+        if self.variant not in POLICIES:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.estimator not in (REGRET_BOUND, ONE_STEP):
+        if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.map_mode not in (MAP_OFF, MAP_COMBINE_MAX, MAP_COMBINE_SCALE):
+        if self.map_mode not in MAP_MODES:
             raise ValueError(f"unknown map_mode {self.map_mode!r}")
         if self.beta_mode not in (BETA_THEORETICAL, BETA_EMPIRICAL):
             raise ValueError(f"unknown beta_mode {self.beta_mode!r}")
@@ -155,7 +129,7 @@ def _sobol_candidates(d: int, n: int) -> np.ndarray:
 
 
 def maximize_ucb(
-    state: GaussianProcess, beta_sqrt: float, domain: Domain, seed: int = 0
+    state: GaussianProcess, beta_sqrt: float, d: int, seed: int = 0
 ) -> np.ndarray:
     """Argmax of mu + beta^{1/2} sigma on the unit cube.
 
@@ -165,7 +139,6 @@ def maximize_ucb(
     """
     if beta_sqrt <= 0:
         raise ValueError("beta_sqrt must be positive")
-    d = domain.dim
 
     def acq(Xq):
         mean, var = state.posterior(Xq)
@@ -193,7 +166,8 @@ def maximize_ucb(
 
 
 class _RunState:
-    """Mutable bookkeeping shared by the three loop variants."""
+    """Mutable bookkeeping of one run, shared by the loop and its policy;
+    construction evaluates the initial design."""
 
     def __init__(self, objective: ObjectiveSpec, config: AlgorithmConfig):
         self.objective = objective
@@ -209,37 +183,33 @@ class _RunState:
         self.prior = hyperparam.LengthscalePrior(
             config.prior_shape, config.prior_rate
         )
+        # 2 beta_t^{1/2} sigma_t(x_t) of every optimization step so far
+        self.widths: list[float] = []
+        n_init = config.init_points
+        if n_init is None:
+            n_init = 2**d
+        init_rng = make_rng(config.seed, tag="init")
+        for j in range(n_init):
+            x = init_rng.uniform(size=d)
+            if not self.observe(j - n_init, x, 0.0, 1.0, 1.0, 1.0, self.theta0):
+                break
 
-    def observe(self, x) -> tuple[float, float]:
+    def observe(self, it, x, bs, g, b, h, theta) -> bool:
+        """Evaluate x, add it to the GP and record it; False aborts the run."""
         f_val = evaluate_objective(self.objective, x)
         y = f_val + self.config.noise_sigma * self.noise_rng.standard_normal()
-        return f_val, y
-
-    def record(self, it, x, y, f_val, bs, g, b, h, theta):
+        if not np.isfinite(y):
+            self.trace.aborted = True
+            log.warning("objective returned non-finite value; aborting run")
+            return False
+        self.gp = self.gp.add_observation(x, y)
         self.best_f = max(self.best_f, f_val)
         self.cumulative += self.objective.f_max - f_val
         self.trace.append(
             it, x, y, bs, g, b, h, theta,
             self.objective.f_max - self.best_f, self.cumulative,
         )
-
-    def initialize(self):
-        d = self.objective.dim
-        n_init = self.config.init_points
-        if n_init is None:
-            n_init = 2**d
-        init_rng = make_rng(self.config.seed, tag="init")
-        for j in range(n_init):
-            x = init_rng.uniform(size=d)
-            f_val, y = self.observe(x)
-            if not np.isfinite(y):
-                self.trace.aborted = True
-                log.warning("objective returned non-finite value; aborting run")
-                return
-            self.gp = self.gp.add_observation(x, y)
-            self.record(
-                j - n_init, x, y, f_val, 0.0, 1.0, 1.0, 1.0, self.theta0
-            )
+        return True
 
     def beta(self, norm_bound: float, mi: float) -> float:
         if self.config.beta_mode == BETA_EMPIRICAL:
@@ -249,151 +219,130 @@ class _RunState:
         )
         return beta_sqrt(params, mi)
 
+    def map_theta(self) -> np.ndarray:
+        return hyperparam.map_estimate(self.gp, self.prior, init=self.theta0).theta_map
 
-def _select_and_observe(run: _RunState, t, bs, g, b, h, theta):
-    """UCB step shared by all variants; returns sigma at the chosen input."""
-    domain = Domain.unit_cube(run.objective.dim)
-    x_next = maximize_ucb(run.gp, bs, domain, seed=run.config.seed)
-    _, var = run.gp.posterior_mean_var(x_next)
-    f_val, y = run.observe(x_next)
-    if not np.isfinite(y):
-        run.trace.aborted = True
-        log.warning("objective returned non-finite value; aborting run")
-        return None
-    run.gp = run.gp.add_observation(x_next, y)
-    run.record(t, x_next, y, f_val, bs, g, b, h, theta)
-    return float(np.sqrt(var))
+    def ucb_choice(self, gp: GaussianProcess, norm_bound: float):
+        """(beta^{1/2}, the UCB argmax, sigma there) under ``gp``."""
+        bs = self.beta(norm_bound, gp.mutual_information())
+        x = maximize_ucb(gp, bs, self.objective.dim, seed=self.config.seed)
+        _, var = gp.posterior_mean_var(x)
+        return bs, x, float(np.sqrt(var))
 
 
-def run_agp_ucb(objective: ObjectiveSpec, config: AlgorithmConfig) -> RunTrace:
-    """Adaptive UCB loop with the expansion schedule and optional MAP step."""
-    run = _RunState(objective, config)
-    run.initialize()
-    if run.trace.aborted:
-        return run.trace
-    d = objective.dim
+# A policy takes the run state and returns step(t) -> (norm_bound, g, b, h,
+# theta_t), the hyperparameters of UCB step t; step may first replace
+# state.gp with one under theta_t. The previous step's g is the last trace
+# row's g (1 after the init rows).
+
+
+def _agp_policy(state: _RunState):
+    """Adaptive schedule: h solves estimate(h) = p(t); optional MAP step."""
+    config = state.config
+    d = state.objective.dim
     scaling = ScalingState(
         lam=config.lam,
         dim=d,
-        theta0=run.theta0,
+        theta0=state.theta0,
         b0=config.b0,
         reference_exponent=config.reference_exponent,
         gamma_exponent=(
             float(d)
-            if run.kernel0.family == SQUARED_EXPONENTIAL
-            else 2.0 * run.kernel0.nu + d
+            if state.kernel0.family == SQUARED_EXPONENTIAL
+            else 2.0 * state.kernel0.nu + d
         ),
     )
-    g_prev = 1.0
-    one_step_history: list[float] = []
-    domain = Domain.unit_cube(d)
 
-    for t in range(1, config.iterations + 1):
-        theta_map = None
-        if config.map_mode != MAP_OFF:
-            theta_map = hyperparam.map_estimate(
-                run.gp, run.prior, init=run.theta0
-            ).theta_map
+    def step(t):
+        theta_map = state.map_theta() if config.map_mode != MAP_OFF else None
 
-        def combined_theta(g):
+        def hyperparameters(h):
+            g, b = decompose(h, config.lam, d)
+            theta, norm_bound = adaptation.scaled_hyperparameters(scaling, h)
             if config.map_mode == MAP_COMBINE_MAX:
-                return hyperparam.combine_max(theta_map, run.theta0, g)
-            if config.map_mode == MAP_COMBINE_SCALE:
-                return hyperparam.combine_scale(theta_map, g)
-            return run.theta0 / g
+                theta = hyperparam.combine_max(theta_map, state.theta0, g)
+            elif config.map_mode == MAP_COMBINE_SCALE:
+                theta = hyperparam.combine_scale(theta_map, g)
+            return norm_bound, g, b, theta
 
         if config.estimator == REGRET_BOUND:
-            mi_prev = run.gp.mutual_information()
+            mi_prev = state.gp.mutual_information()
 
             def estimator_eval(hh):
                 return adaptation.regret_bound_estimate(
-                    scaling, hh, t, mi_prev, run.beta,
-                    config.noise_sigma, g_prev=g_prev,
+                    scaling, hh, t, mi_prev, state.beta,
+                    config.noise_sigma, g_prev=state.trace.g[-1],
                 )
         else:
 
             def estimator_eval(hh):
-                gg, bb = decompose(hh, config.lam, d)
-                norm_bound = bb * gg**d * config.b0
-                kernel_h = run.kernel0.with_lengthscales(combined_theta(gg))
-                gp_h = run.gp.set_kernel(kernel_h)
-                bs_h = run.beta(norm_bound, gp_h.mutual_information())
-                x_h = maximize_ucb(gp_h, bs_h, domain, seed=config.seed)
-                _, var_h = gp_h.posterior_mean_var(x_h)
-                return adaptation.one_step_estimate(
-                    one_step_history, (bs_h, float(np.sqrt(var_h)))
-                )
+                norm_bound, _, _, theta_h = hyperparameters(hh)
+                gp_h = state.gp.set_kernel(state.kernel0.with_lengthscales(theta_h))
+                bs_h, _, sigma_h = state.ucb_choice(gp_h, norm_bound)
+                return adaptation.one_step_estimate(state.widths, (bs_h, sigma_h))
 
         h = adaptation.solve_h(scaling, t, estimator_eval)
         scaling.accept(h)
-        g, b = decompose(h, config.lam, d)
-        norm_bound = b * g**d * config.b0
-        theta_t = combined_theta(g)
-        run.gp = run.gp.set_kernel(run.kernel0.with_lengthscales(theta_t))
-        bs = run.beta(norm_bound, run.gp.mutual_information())
-        sigma_next = _select_and_observe(run, t, bs, g, b, h, theta_t)
-        if sigma_next is None:
-            break
-        one_step_history.append(2.0 * bs * sigma_next)
-        g_prev = g
-    return run.trace
+        norm_bound, g, b, theta_t = hyperparameters(h)
+        state.gp = state.gp.set_kernel(state.kernel0.with_lengthscales(theta_t))
+        return norm_bound, g, b, h, theta_t
+
+    return step
 
 
-def run_fixed_gp_ucb(objective: ObjectiveSpec, config: AlgorithmConfig) -> RunTrace:
-    """UCB with the schedule frozen at h = 1 (fixed hyperparameters)."""
-    run = _RunState(objective, config)
-    run.initialize()
-    if run.trace.aborted:
-        return run.trace
-    for t in range(1, config.iterations + 1):
-        theta_t = run.theta0
-        if config.map_mode != MAP_OFF:
-            theta_t = hyperparam.map_estimate(
-                run.gp, run.prior, init=run.theta0
-            ).theta_map
-            run.gp = run.gp.set_kernel(run.kernel0.with_lengthscales(theta_t))
-        bs = run.beta(config.b0, run.gp.mutual_information())
-        if _select_and_observe(run, t, bs, 1.0, 1.0, 1.0, theta_t) is None:
-            break
-    return run.trace
+def _fixed_policy(state: _RunState):
+    """Schedule frozen at h = 1; with MAP on, the raw MAP lengthscales."""
+
+    def step(t):
+        theta_t = state.theta0
+        if state.config.map_mode != MAP_OFF:
+            theta_t = state.map_theta()
+            state.gp = state.gp.set_kernel(state.kernel0.with_lengthscales(theta_t))
+        return state.config.b0, 1.0, 1.0, 1.0, theta_t
+
+    return step
 
 
-def run_wang_shrink(objective: ObjectiveSpec, config: AlgorithmConfig) -> RunTrace:
-    """Baseline that shrinks lengthscales until sigma at the next input
-    reaches kappa; no sublinear reference, no lower bound on lengthscales."""
-    run = _RunState(objective, config)
-    run.initialize()
-    if run.trace.aborted:
-        return run.trace
-    d = objective.dim
-    domain = Domain.unit_cube(d)
-    g_total = 1.0
-    for t in range(1, config.iterations + 1):
+def _wang_policy(state: _RunState):
+    """Shrink lengthscales until sigma at the next input reaches kappa; no
+    sublinear reference, no lower bound on lengthscales."""
+    config = state.config
 
-        def x_next_fn(gp_c):
-            bs_c = run.beta(config.b0, gp_c.mutual_information())
-            return maximize_ucb(gp_c, bs_c, domain, seed=config.seed)
+    def x_next_fn(gp_c):
+        bs_c = state.beta(config.b0, gp_c.mutual_information())
+        return maximize_ucb(gp_c, bs_c, state.objective.dim, seed=config.seed)
 
-        c = adaptation.wang_baseline_scale(run.gp, config.kappa, x_next_fn)
+    def step(t):
+        c = adaptation.wang_baseline_scale(state.gp, config.kappa, x_next_fn)
+        g_total = state.trace.g[-1]
         if c > 1.0:
-            run.gp = run.gp.set_kernel(run.gp.kernel.scaled(c))
+            # rescale the current kernel: rebuilding it from theta0 / g_total
+            # differs in the last bits
+            state.gp = state.gp.set_kernel(state.gp.kernel.scaled(c))
             g_total *= c
-        theta_t = run.theta0 / g_total
-        bs = run.beta(config.b0, run.gp.mutual_information())
-        if _select_and_observe(
-            run, t, bs, g_total, 1.0, g_total, theta_t
-        ) is None:
-            break
-    return run.trace
+        return config.b0, g_total, 1.0, g_total, state.theta0 / g_total
+
+    return step
 
 
-_RUNNERS = {
-    AGP_UCB: run_agp_ucb,
-    FIXED_GP_UCB: run_fixed_gp_ucb,
-    WANG_SHRINK: run_wang_shrink,
+POLICIES = {
+    AGP_UCB: _agp_policy,
+    FIXED_GP_UCB: _fixed_policy,
+    WANG_SHRINK: _wang_policy,
 }
 
 
 def run(objective: ObjectiveSpec, config: AlgorithmConfig) -> RunTrace:
-    """Dispatch to the configured variant."""
-    return _RUNNERS[config.variant](objective, config)
+    """UCB loop: the variant's policy picks theta_t and the norm bound, then
+    the loop maximizes mu + beta^{1/2} sigma, observes and records."""
+    state = _RunState(objective, config)
+    if state.trace.aborted:
+        return state.trace
+    policy = POLICIES[config.variant](state)
+    for t in range(1, config.iterations + 1):
+        norm_bound, g, b, h, theta_t = policy(t)
+        bs, x_next, sigma = state.ucb_choice(state.gp, norm_bound)
+        if not state.observe(t, x_next, bs, g, b, h, theta_t):
+            break
+        state.widths.append(2.0 * bs * sigma)
+    return state.trace

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import io
 import os
 import sys
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import algorithms
+from .adaptation import ESTIMATORS
 from .algorithms import AlgorithmConfig, RunTrace
 from .errors import ConfigError
 from .kernels import KernelSpec
@@ -229,16 +231,25 @@ def emit_trace(trace: RunTrace, path: str) -> None:
             ]
         )
         rows.append(",".join(row))
-    content = "\n".join([",".join(trace_header(trace.dim))] + rows) + "\n"
+    _write_atomic(path, "\n".join([",".join(trace_header(trace.dim))] + rows))
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write text and a final newline to a temp file, then rename it to
+    path, so readers never see a partial file."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            fh.write(content)
+            fh.write(text + "\n")
         os.replace(tmp, path)
     except OSError as exc:
-        raise IOError(f"cannot write trace to {path}: {exc}") from exc
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def read_trace(path: str) -> dict:
@@ -307,11 +318,7 @@ def _write_summary(name: str, paths: list[str], out_dir: str) -> str:
             )
         )
     path = os.path.join(out_dir, f"{name}_summary.csv")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    _write_atomic(path, "\n".join(lines))
     return path
 
 
@@ -379,10 +386,10 @@ def _cmd_list_presets(_args) -> int:
     for p in PROBLEMS:
         print(f"  {p}")
     print("algorithm variants:")
-    for v in (algorithms.AGP_UCB, algorithms.FIXED_GP_UCB, algorithms.WANG_SHRINK):
+    for v in algorithms.POLICIES:
         print(f"  {v}")
-    print("estimators: regret_bound, one_step")
-    print("map modes: off, combine_max, combine_scale")
+    print(f"estimators: {', '.join(ESTIMATORS)}")
+    print(f"map modes: {', '.join(algorithms.MAP_MODES)}")
     return 0
 
 
@@ -400,14 +407,27 @@ def _cmd_summarize(args) -> int:
         return 1
     status = 0
     for name, files in paths.items():
-        rows = {p: len(read_trace(p)["iter"]) for p in files}
-        full = max(rows.values())
+        rows = {}
         for p in files:
-            if rows[p] < full:
-                print(f"skipped {p}: {rows[p]} rows, expected {full}", file=sys.stderr)
+            try:
+                rows[p] = len(read_trace(p)["iter"])
+            except ValueError as exc:  # a row cut short by an interrupted copy
+                # numpy appends advice on its own API after the first clause
+                print(f"skipped {p}: {str(exc).split(';')[0]}", file=sys.stderr)
                 status = 1
-        files = [p for p in files if rows[p] == full]
-        summary = _write_summary(name, files, args.dir)
+        if not rows:
+            continue
+        full = max(rows.values())
+        for p, n in rows.items():
+            if n < full:
+                print(f"skipped {p}: {n} rows, expected {full}", file=sys.stderr)
+                status = 1
+        files = [p for p in rows if rows[p] == full]
+        try:
+            summary = _write_summary(name, files, args.dir)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         cols = read_summary(summary)
         final = cols["simple_mean"][-1]
         print(

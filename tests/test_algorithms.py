@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from abo.algorithms import (
-    AlgorithmConfig,
-    Domain,
-    maximize_ucb,
-    run,
-    run_agp_ucb,
-    run_fixed_gp_ucb,
-    run_wang_shrink,
-)
+from abo.algorithms import AlgorithmConfig, maximize_ucb, run
 from abo.confidence import ConfidenceParams, beta_sqrt
 from abo.gp import GaussianProcess
 from abo.kernels import KernelSpec
@@ -18,21 +10,6 @@ from abo.objectives import bump_linear_preset, make_rkhs_function
 
 def small_objective(seed=0):
     return make_rkhs_function(KernelSpec(np.array([0.2])), m=8, target_norm=2.0, seed=seed)
-
-
-class TestDomain:
-    def test_unit_cube(self):
-        d = Domain.unit_cube(3)
-        np.testing.assert_array_equal(d.lower, np.zeros(3))
-        np.testing.assert_array_equal(d.upper, np.ones(3))
-
-    def test_from_unit(self):
-        d = Domain(np.array([-1.0, 0.0]), np.array([1.0, 10.0]))
-        np.testing.assert_allclose(d.from_unit([0.5, 0.1]), [0.0, 1.0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Domain(np.array([0.0]), np.array([0.0]))
 
 
 class TestConfig:
@@ -65,7 +42,7 @@ class TestConfig:
 class TestMaximizeUcb:
     def test_constant_surface_tie_break(self):
         gp = GaussianProcess(KernelSpec(np.ones(2)), 0.1)
-        x = maximize_ucb(gp, 1.0, Domain.unit_cube(2))
+        x = maximize_ucb(gp, 1.0, 2)
         # prior is flat: the first scan candidate wins and refinement cannot
         # improve on a constant surface
         np.testing.assert_array_equal(x, np.zeros(2))
@@ -74,7 +51,7 @@ class TestMaximizeUcb:
         gp = GaussianProcess(KernelSpec(np.array([0.3])), 0.1).add_observation(
             [0.6], 2.0
         )
-        x = maximize_ucb(gp, 0.05, Domain.unit_cube(1))
+        x = maximize_ucb(gp, 0.05, 1)
         assert abs(x[0] - 0.6) < 0.05
 
     def test_dominates_random_probes(self):
@@ -84,7 +61,7 @@ class TestMaximizeUcb:
             KernelSpec(np.full(2, 0.4)), 0.1, X, rng.standard_normal(8)
         )
         bs = 2.0
-        x = maximize_ucb(gp, bs, Domain.unit_cube(2))
+        x = maximize_ucb(gp, bs, 2)
         mean, var = gp.posterior_mean_var(x)
         best = mean + bs * np.sqrt(var)
         probes = rng.uniform(size=(10_000, 2))
@@ -97,13 +74,13 @@ class TestMaximizeUcb:
         gp = GaussianProcess(
             KernelSpec(np.full(3, 0.5)), 0.1, X, rng.standard_normal(5)
         )
-        x = maximize_ucb(gp, 3.0, Domain.unit_cube(3))
+        x = maximize_ucb(gp, 3.0, 3)
         assert np.all(x >= 0.0) and np.all(x <= 1.0)
 
     def test_invalid_beta(self):
         gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1)
         with pytest.raises(ValueError):
-            maximize_ucb(gp, 0.0, Domain.unit_cube(1))
+            maximize_ucb(gp, 0.0, 1)
 
 
 class TestRunTraces:
@@ -241,7 +218,7 @@ class TestConvergenceSmoke:
         obj = bump_linear_preset()
         hits = 0
         for seed in range(2):
-            trace = run_agp_ucb(
+            trace = run(
                 obj,
                 AlgorithmConfig(iterations=100, seed=seed, map_mode="combine_max"),
             )

@@ -247,6 +247,8 @@ class TestCommandLine:
         out = capsys.readouterr().out
         for token in ("example_rkhs", "gp_sample", "agp_ucb", "wang_shrink"):
             assert token in out
+        assert "estimators: regret_bound, one_step" in out
+        assert "map modes: off, combine_max, combine_scale" in out
 
     def test_summarize(self, tmp_path, capsys):
         good = write_config(tmp_path, SMALL_CONFIG)
@@ -289,6 +291,33 @@ class TestCommandLine:
             summary["simple_mean"],
             np.mean([c["simple_regret"] for c in full], axis=0),
         )
+
+    def test_summarize_skips_trace_cut_mid_row(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        main(["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", out])
+        cut = os.path.join(out, "fixed_seed1.csv")
+        lines = open(cut).read().splitlines(keepends=True)
+        # an interrupted copy: three whole rows, then half of the fourth
+        open(cut, "w").write("".join(lines[:4]) + lines[4][: len(lines[4]) // 2])
+        capsys.readouterr()
+        assert main(["summarize", out]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"skipped {cut}: ")
+        assert "Traceback" not in captured.err
+        assert "fixed: 1 seeds" in captured.out
+
+    def test_summarize_reports_unwritable_summary(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        main(["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", out])
+        summary = os.path.join(out, "fixed_summary.csv")
+        os.remove(summary)
+        os.mkdir(summary)  # os.replace cannot put a file in its place
+        capsys.readouterr()
+        assert main(["summarize", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {summary}: ")
+        assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
 
     def test_run_reports_malformed_seed_offset(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ABO_SEED_OFFSET", "abc")
