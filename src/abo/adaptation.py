@@ -111,19 +111,18 @@ def regret_bound_estimate(
     mi_prev_theta: float,
     beta_fn,
     noise_sigma: float,
-    g_prev: float | None = None,
 ) -> float:
     """Regret estimate sqrt(C1 t beta_t (g/g_prev)^gamma_exp I_prev).
 
     ``mi_prev_theta`` is the mutual information of all collected inputs under
-    the previous iteration's lengthscales; ``beta_fn(norm_bound, mi)`` returns
-    the width multiplier beta^{1/2}. Monotone increasing in h.
+    the previous iteration's lengthscales, those of ``s.h_prev``;
+    ``beta_fn(norm_bound, mi)`` returns the width multiplier beta^{1/2}.
+    Monotone increasing in h.
     """
-    if g_prev is None:
-        g_prev, _ = decompose(s.h_prev, s.lam, s.dim)
-    g, b = decompose(h, s.lam, s.dim)
+    g_prev, _ = decompose(s.h_prev, s.lam, s.dim)
+    g, _ = decompose(h, s.lam, s.dim)
     scaled_mi = (g / g_prev) ** s.gamma_exponent * mi_prev_theta
-    norm_bound = b * g**s.dim * s.b0
+    _, norm_bound = scaled_hyperparameters(s, h)
     bs = beta_fn(norm_bound, scaled_mi)
     c1 = c1_constant(noise_sigma)
     return math.sqrt(c1 * t * bs**2 * scaled_mi)

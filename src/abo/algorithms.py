@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -36,6 +37,8 @@ _RANDOM_EXTRA = 256
 _REFINE_ITERS = 20
 _REFINE_STEP = 0.25
 _REFINE_SHRINK = 0.65
+
+_POSITIVE = ("beta_constant", "b0", "noise_sigma", "kappa", "prior_shape", "prior_rate")
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,21 @@ class AlgorithmConfig:
             raise ValueError(f"unknown map_mode {self.map_mode!r}")
         if self.beta_mode not in (BETA_THEORETICAL, BETA_EMPIRICAL):
             raise ValueError(f"unknown beta_mode {self.beta_mode!r}")
+        for key in _POSITIVE:
+            value = getattr(self, key)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{key} must be positive and finite, got {value!r}")
+        theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
+        if theta0.size == 0 or not np.all((theta0 > 0) & (theta0 < math.inf)):
+            raise ValueError(f"theta0 must be positive and finite, got {self.theta0!r}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be >= 0 and finite, got {self.lam!r}")
+        for key in ("delta", "reference_exponent"):
+            value = getattr(self, key)
+            if not 0 < value < 1:
+                raise ValueError(f"{key} must lie in (0, 1), got {value!r}")
+        if self.init_points is not None and self.init_points < 0:
+            raise ValueError(f"init_points must be >= 0, got {self.init_points}")
 
     def theta0_vector(self, d: int) -> np.ndarray:
         theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
@@ -270,8 +288,7 @@ def _agp_policy(state: _RunState):
 
             def estimator_eval(hh):
                 return adaptation.regret_bound_estimate(
-                    scaling, hh, t, mi_prev, state.beta,
-                    config.noise_sigma, g_prev=state.trace.g[-1],
+                    scaling, hh, t, mi_prev, state.beta, config.noise_sigma
                 )
         else:
 

@@ -32,18 +32,10 @@ from .objectives import (
 )
 from .rng import GENERATOR_NAME
 
-PROBLEMS = ("example_rkhs", "gp_sample", "synthetic_4d")
+# problem name -> dimension of its objective
+PROBLEMS = {"example_rkhs": 1, "gp_sample": 1, "synthetic_4d": 4}
 
 _FLOAT_FMT = "%.17g"
-
-_EXPERIMENT_KEYS = {
-    "problem", "seeds", "iterations", "output_dir", "init_points",
-}
-_ALGO_KEYS = {
-    "variant", "estimator", "map_mode", "beta_mode", "beta_constant",
-    "theta0", "b0", "delta", "noise_sigma", "lambda", "reference_exponent",
-    "kappa", "prior_shape", "prior_rate",
-}
 
 
 @dataclass
@@ -60,59 +52,65 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonempty")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
+        if self.init_points is not None and self.init_points < 0:
+            raise ConfigError(f"init_points must be >= 0, got {self.init_points}")
         if self.problem not in PROBLEMS:
             raise ConfigError(
-                f"unknown problem {self.problem!r}; choose from {PROBLEMS}"
+                f"unknown problem {self.problem!r}; choose from {tuple(PROBLEMS)}"
             )
         if not self.algorithms:
             self.algorithms = [AlgorithmConfig(name="agp_ucb")]
+        for algo in self.algorithms:
+            try:
+                algo.theta0_vector(PROBLEMS[self.problem])
+            except ValueError as exc:
+                raise ConfigError(f"algorithm {algo.name!r}: {exc}") from exc
 
 
-def _parse_float(section, key, value, lo=None, hi=None, open_ends=False):
-    try:
-        v = float(value)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: not a number: {value!r}")
-    if lo is not None and (v <= lo if open_ends else v < lo):
-        raise ConfigError(f"{section}.{key}: must be > {lo}, got {v}")
-    if hi is not None and (v >= hi if open_ends else v > hi):
-        raise ConfigError(f"{section}.{key}: must be < {hi}, got {v}")
-    return v
+# Fields that are not keys of their section: the algorithm sections
+# themselves, and the per-run values run_experiment fills in.
+_NOT_KEYS = {
+    ExperimentConfig: ("algorithms",),
+    AlgorithmConfig: ("iterations", "seed", "init_points", "name"),
+}
+# list-valued keys and their element type; other keys take their default's type
+_LISTS = {"seeds": int, "theta0": float}
 
 
-def _parse_algorithm(name: str, items: dict) -> AlgorithmConfig:
-    sec = f"algorithm.{name}"
-    kwargs = {"name": name}
+def _keys(cls) -> dict:
+    """Config key -> dataclass field for each key of a ``cls`` section."""
+    return {
+        "lambda" if f.name == "lam" else f.name: f
+        for f in fields(cls)
+        if f.name not in _NOT_KEYS[cls]
+    }
+
+
+def _coerce(f, value: str):
+    if f.name in _LISTS:
+        items = [_LISTS[f.name](v) for v in value.replace(",", " ").split()]
+        if f.name == "theta0":  # one lengthscale is shared by every dimension
+            return items[0] if len(items) == 1 else tuple(items)
+        return items
+    return (int if f.default is None else type(f.default))(value)
+
+
+def _build(section: str, cls, items: dict, **extra):
+    """A ``cls`` from a section's key/value strings; a bad key or value
+    raises a ConfigError naming the section."""
+    keys = _keys(cls)
+    kwargs = {}
     for key, value in items.items():
-        if key not in _ALGO_KEYS:
-            raise ConfigError(f"unknown key {key!r} in [{sec}]")
-        if key == "theta0":
-            parts = [p for p in value.replace(",", " ").split() if p]
-            theta = tuple(
-                _parse_float(sec, key, p, lo=0.0, open_ends=True)
-                for p in parts
-            )
-            kwargs["theta0"] = theta[0] if len(theta) == 1 else theta
-        elif key == "lambda":
-            kwargs["lam"] = _parse_float(sec, key, value, lo=0.0)
-        elif key in ("variant", "estimator", "map_mode", "beta_mode"):
-            kwargs[key] = value.strip()
-        elif key == "delta":
-            kwargs["delta"] = _parse_float(
-                sec, key, value, lo=0.0, hi=1.0, open_ends=True
-            )
-        elif key == "reference_exponent":
-            kwargs[key] = _parse_float(
-                sec, key, value, lo=0.0, hi=1.0, open_ends=True
-            )
-        elif key in ("noise_sigma", "b0", "kappa", "prior_shape", "prior_rate"):
-            kwargs[key] = _parse_float(sec, key, value, lo=0.0, open_ends=True)
-        else:
-            kwargs[key] = _parse_float(sec, key, value)
+        if key not in keys:
+            raise ConfigError(f"[{section}]: unknown key {key!r}")
+        try:
+            kwargs[keys[key].name] = _coerce(keys[key], value)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}]: {key}: {exc}") from exc
     try:
-        return AlgorithmConfig(**kwargs)
+        return cls(**kwargs, **extra)
     except ValueError as exc:
-        raise ConfigError(f"[{sec}]: {exc}") from exc
+        raise ConfigError(f"[{section}]: {exc}") from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -127,77 +125,57 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
-    exp_kwargs: dict = {}
+    experiment: dict = {}
     algos = []
     for section in parser.sections():
         items = dict(parser.items(section))
         if section == "experiment":
-            for key, value in items.items():
-                if key not in _EXPERIMENT_KEYS:
-                    raise ConfigError(f"unknown key {key!r} in [experiment]")
-                if key == "seeds":
-                    try:
-                        exp_kwargs["seeds"] = [
-                            int(s)
-                            for s in value.replace(",", " ").split()
-                        ]
-                    except ValueError:
-                        raise ConfigError(f"experiment.seeds: bad value {value!r}")
-                elif key in ("iterations", "init_points"):
-                    try:
-                        exp_kwargs[key] = int(value)
-                    except ValueError:
-                        raise ConfigError(f"experiment.{key}: bad value {value!r}")
-                else:
-                    exp_kwargs[key] = value.strip()
+            experiment = items
         elif section.startswith("algorithm."):
-            algos.append(_parse_algorithm(section[len("algorithm."):], items))
+            name = section[len("algorithm."):]
+            algos.append(_build(section, AlgorithmConfig, items, name=name))
         else:
             raise ConfigError(f"unknown section [{section}]")
-    return ExperimentConfig(algorithms=algos, **exp_kwargs)
+    return _build("experiment", ExperimentConfig, experiment, algorithms=algos)
+
+
+def _write_section(out, section: str, config) -> None:
+    out.write(f"[{section}]\n")
+    for key, f in _keys(type(config)).items():
+        value = getattr(config, f.name)
+        if value is None:  # init_points left to its default, 2^d
+            continue
+        if f.name in _LISTS:
+            kind = _LISTS[f.name]
+            text = ", ".join(repr(kind(v)) for v in np.atleast_1d(value).tolist())
+        else:
+            text = value if isinstance(value, str) else repr(value)
+        out.write(f"{key} = {text}\n")
 
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Inverse of parse_config up to formatting."""
     out = io.StringIO()
-    out.write("[experiment]\n")
-    out.write(f"problem = {config.problem}\n")
-    out.write(f"seeds = {', '.join(str(s) for s in config.seeds)}\n")
-    out.write(f"iterations = {config.iterations}\n")
-    out.write(f"output_dir = {config.output_dir}\n")
-    if config.init_points is not None:
-        out.write(f"init_points = {config.init_points}\n")
+    _write_section(out, "experiment", config)
     for algo in config.algorithms:
-        out.write(f"\n[algorithm.{algo.name}]\n")
-        out.write(f"variant = {algo.variant}\n")
-        out.write(f"estimator = {algo.estimator}\n")
-        out.write(f"map_mode = {algo.map_mode}\n")
-        out.write(f"beta_mode = {algo.beta_mode}\n")
-        out.write(f"beta_constant = {algo.beta_constant!r}\n")
-        theta0 = np.atleast_1d(np.asarray(algo.theta0, dtype=float))
-        out.write(f"theta0 = {', '.join(repr(v) for v in theta0.tolist())}\n")
-        out.write(f"b0 = {algo.b0!r}\n")
-        out.write(f"delta = {algo.delta!r}\n")
-        out.write(f"noise_sigma = {algo.noise_sigma!r}\n")
-        out.write(f"lambda = {algo.lam!r}\n")
-        out.write(f"reference_exponent = {algo.reference_exponent!r}\n")
-        out.write(f"kappa = {algo.kappa!r}\n")
-        out.write(f"prior_shape = {algo.prior_shape!r}\n")
-        out.write(f"prior_rate = {algo.prior_rate!r}\n")
+        out.write("\n")
+        _write_section(out, f"algorithm.{algo.name}", algo)
     return out.getvalue()
 
 
 def make_objective(problem: str, seed: int) -> ObjectiveSpec:
     """Objective generator per problem family; seeded where random."""
+    if problem not in PROBLEMS:
+        raise ConfigError(f"unknown problem {problem!r}")
+    d = PROBLEMS[problem]
     if problem == "example_rkhs":
         return bump_linear_preset()
     if problem == "gp_sample":
-        kernel = KernelSpec(lengthscales=np.array([0.1]))
+        kernel = KernelSpec(lengthscales=np.full(d, 0.1))
         return make_gp_sample_function(kernel, grid_size=30, target_norm=4.0, seed=seed)
-    if problem == "synthetic_4d":
-        kernel = KernelSpec(lengthscales=np.full(4, 0.3))
-        return make_rkhs_function(kernel, m=30, target_norm=2.0, seed=seed)
-    raise ConfigError(f"unknown problem {problem!r}")
+    # synthetic_4d
+    kernel = KernelSpec(lengthscales=np.full(d, 0.3))
+    return make_rkhs_function(kernel, m=30, target_norm=2.0, seed=seed)
 
 
 def trace_header(dim: int) -> list[str]:

@@ -27,6 +27,10 @@ class TestConfig:
             AlgorithmConfig(map_mode="nope")
         with pytest.raises(ValueError):
             AlgorithmConfig(iterations=0)
+        with pytest.raises(ValueError):
+            AlgorithmConfig(delta=1.5)
+        with pytest.raises(ValueError):
+            AlgorithmConfig(beta_constant=0.0)
 
     def test_theta0_broadcast(self):
         np.testing.assert_array_equal(

@@ -80,11 +80,14 @@ theta0 = 0.1
 
     def test_round_trip(self):
         config = ExperimentConfig(
-            problem="gp_sample",
+            problem="synthetic_4d",
             seeds=[0, 3, 7],
             iterations=25,
+            init_points=3,
             algorithms=[
-                AlgorithmConfig(name="a", lam=0.1, theta0=(0.5, 2.0)),
+                AlgorithmConfig(
+                    name="a", lam=0.1, theta0=(0.5, 2.0, 0.25, 1.0), prior_rate=4.5
+                ),
                 AlgorithmConfig(name="b", variant="wang_shrink", kappa=0.05),
             ],
         )
@@ -92,15 +95,9 @@ theta0 = 0.1
         assert back.problem == config.problem
         assert back.seeds == config.seeds
         assert back.iterations == config.iterations
-        for orig, parsed in zip(config.algorithms, back.algorithms):
-            assert parsed == orig or (
-                parsed.lam == orig.lam
-                and np.allclose(
-                    np.atleast_1d(parsed.theta0), np.atleast_1d(orig.theta0)
-                )
-                and parsed.variant == orig.variant
-                and parsed.kappa == orig.kappa
-            )
+        assert back.init_points == config.init_points
+        assert back.algorithms == config.algorithms
+        assert serialize_config(back) == serialize_config(config)
 
 
 class TestObjectiveFactory:
@@ -241,6 +238,24 @@ class TestCommandLine:
         bad = write_config(tmp_path, "delta = oops\n")
         assert main(["run", "--config", bad, "--out", out]) == 2
         assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
+
+    @pytest.mark.parametrize(
+        "key, lines",
+        [
+            ("beta_constant", "[algorithm.a]\nbeta_constant = -1"),
+            ("b0", "[algorithm.a]\nb0 = nan"),
+            ("noise_sigma", "[algorithm.a]\nnoise_sigma = inf"),
+            ("theta0", "[algorithm.a]\ntheta0 = 0.5, 0.5"),
+            ("init_points", "init_points = -1"),
+        ],
+    )
+    def test_run_rejects_bad_value_before_any_run(self, tmp_path, capsys, key, lines):
+        text = f"[experiment]\nproblem = example_rkhs\nseeds = 0, 1\niterations = 2\n{lines}\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and key in err[0]
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_list_presets(self, capsys):
         assert main(["list-presets"]) == 0
