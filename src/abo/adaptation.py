@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .gp import GaussianProcess
-
 log = logging.getLogger(__name__)
 
 REGRET_BOUND = "regret_bound"
@@ -89,12 +87,10 @@ class ScalingState:
         self.h_prev = h
 
 
-def scaled_hyperparameters(s: ScalingState, h: float) -> tuple[np.ndarray, float]:
-    """Lengthscales theta0/g and norm bound b*g^d*B0 for master scale h."""
+def scaled_hyperparameters(s: ScalingState, h: float):
+    """(g, b, lengthscales theta0/g, norm bound b*g^d*B0) for master scale h."""
     g, b = decompose(h, s.lam, s.dim)
-    theta_t = s.theta0 / g
-    b_t = b * g**s.dim * s.b0
-    return theta_t, b_t
+    return g, b, s.theta0 / g, b * g**s.dim * s.b0
 
 
 def reference_regret(s: ScalingState, t: int) -> float:
@@ -120,9 +116,8 @@ def regret_bound_estimate(
     Monotone increasing in h.
     """
     g_prev, _ = decompose(s.h_prev, s.lam, s.dim)
-    g, _ = decompose(h, s.lam, s.dim)
+    g, _, _, norm_bound = scaled_hyperparameters(s, h)
     scaled_mi = (g / g_prev) ** s.gamma_exponent * mi_prev_theta
-    _, norm_bound = scaled_hyperparameters(s, h)
     bs = beta_fn(norm_bound, scaled_mi)
     c1 = c1_constant(noise_sigma)
     return math.sqrt(c1 * t * bs**2 * scaled_mi)
@@ -165,20 +160,18 @@ def solve_h(s: ScalingState, t: int, estimator_eval) -> float:
     return max(float(root), lo)
 
 
-def wang_baseline_scale(state: GaussianProcess, kappa: float, x_next_fn) -> float:
-    """Smallest lengthscale-shrink factor keeping sigma_t(x_next) >= kappa.
+def wang_baseline_scale(kappa: float, sigma_at) -> float:
+    """Smallest lengthscale-shrink factor c with sigma_at(c) >= kappa.
 
-    Searches a geometric grid with ratio 1.05 up to a cap of 10^3; the next
-    input is recomputed under each candidate scaling via ``x_next_fn``.
+    ``sigma_at(c)`` is the posterior standard deviation at the next input
+    chosen under lengthscales shrunk by c. Searches a geometric grid with
+    ratio 1.05 up to a cap of 10^3.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     c = 1.0
     while c <= WANG_CAP:
-        candidate = state.set_kernel(state.kernel.scaled(c)) if c > 1 else state
-        x_next = x_next_fn(candidate)
-        _, var = candidate.posterior_mean_var(x_next)
-        if math.sqrt(var) >= kappa:
+        if sigma_at(c) >= kappa:
             return c
         c *= WANG_GRID_RATIO
     log.warning("shrink-factor search hit cap %g", WANG_CAP)

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import adaptation, hyperparam
-from .adaptation import ESTIMATORS, REGRET_BOUND, ScalingState, decompose
+from .adaptation import ESTIMATORS, REGRET_BOUND, ScalingState
 from .confidence import ConfidenceParams, beta_sqrt
 from .gp import GaussianProcess
 from .kernels import SQUARED_EXPONENTIAL
@@ -203,6 +203,8 @@ class _RunState:
         )
         # 2 beta_t^{1/2} sigma_t(x_t) of every optimization step so far
         self.widths: list[float] = []
+        # (theta bytes, norm bound) -> choice on the current data
+        self._choices: dict = {}
         n_init = config.init_points
         if n_init is None:
             n_init = 2**d
@@ -214,6 +216,7 @@ class _RunState:
 
     def observe(self, it, x, bs, g, b, h, theta) -> bool:
         """Evaluate x, add it to the GP and record it; False aborts the run."""
+        self._choices.clear()
         f_val = evaluate_objective(self.objective, x)
         y = f_val + self.config.noise_sigma * self.noise_rng.standard_normal()
         if not np.isfinite(y):
@@ -240,18 +243,23 @@ class _RunState:
     def map_theta(self) -> np.ndarray:
         return hyperparam.map_estimate(self.gp, self.prior, init=self.theta0).theta_map
 
-    def ucb_choice(self, gp: GaussianProcess, norm_bound: float):
-        """(beta^{1/2}, the UCB argmax, sigma there) under ``gp``."""
-        bs = self.beta(norm_bound, gp.mutual_information())
-        x = maximize_ucb(gp, bs, self.objective.dim, seed=self.config.seed)
-        _, var = gp.posterior_mean_var(x)
-        return bs, x, float(np.sqrt(var))
+    def choice(self, theta: np.ndarray, norm_bound: float):
+        """(GP under ``theta``, beta^{1/2}, the UCB argmax, sigma there) on
+        the data so far; memoized until the next observation."""
+        key = (theta.tobytes(), norm_bound)
+        if key not in self._choices:
+            gp = self.gp.set_kernel(self.kernel0.with_lengthscales(theta))
+            bs = self.beta(norm_bound, gp.mutual_information())
+            x = maximize_ucb(gp, bs, self.objective.dim, seed=self.config.seed)
+            _, var = gp.posterior_mean_var(x)
+            self._choices[key] = gp, bs, x, float(np.sqrt(var))
+        return self._choices[key]
 
 
 # A policy takes the run state and returns step(t) -> (norm_bound, g, b, h,
-# theta_t), the hyperparameters of UCB step t; step may first replace
-# state.gp with one under theta_t. The previous step's g is the last trace
-# row's g (1 after the init rows).
+# theta_t), the hyperparameters of UCB step t; the loop builds the GP under
+# theta_t. The previous step's g is the last trace row's g (1 after the init
+# rows).
 
 
 def _agp_policy(state: _RunState):
@@ -275,13 +283,12 @@ def _agp_policy(state: _RunState):
         theta_map = state.map_theta() if config.map_mode != MAP_OFF else None
 
         def hyperparameters(h):
-            g, b = decompose(h, config.lam, d)
-            theta, norm_bound = adaptation.scaled_hyperparameters(scaling, h)
+            g, b, theta, norm_bound = adaptation.scaled_hyperparameters(scaling, h)
             if config.map_mode == MAP_COMBINE_MAX:
                 theta = hyperparam.combine_max(theta_map, state.theta0, g)
             elif config.map_mode == MAP_COMBINE_SCALE:
                 theta = hyperparam.combine_scale(theta_map, g)
-            return norm_bound, g, b, theta
+            return norm_bound, g, b, h, theta
 
         if config.estimator == REGRET_BOUND:
             mi_prev = state.gp.mutual_information()
@@ -293,16 +300,13 @@ def _agp_policy(state: _RunState):
         else:
 
             def estimator_eval(hh):
-                norm_bound, _, _, theta_h = hyperparameters(hh)
-                gp_h = state.gp.set_kernel(state.kernel0.with_lengthscales(theta_h))
-                bs_h, _, sigma_h = state.ucb_choice(gp_h, norm_bound)
+                norm_bound, _, _, _, theta_h = hyperparameters(hh)
+                _, bs_h, _, sigma_h = state.choice(theta_h, norm_bound)
                 return adaptation.one_step_estimate(state.widths, (bs_h, sigma_h))
 
         h = adaptation.solve_h(scaling, t, estimator_eval)
         scaling.accept(h)
-        norm_bound, g, b, theta_t = hyperparameters(h)
-        state.gp = state.gp.set_kernel(state.kernel0.with_lengthscales(theta_t))
-        return norm_bound, g, b, h, theta_t
+        return hyperparameters(h)
 
     return step
 
@@ -314,7 +318,6 @@ def _fixed_policy(state: _RunState):
         theta_t = state.theta0
         if state.config.map_mode != MAP_OFF:
             theta_t = state.map_theta()
-            state.gp = state.gp.set_kernel(state.kernel0.with_lengthscales(theta_t))
         return state.config.b0, 1.0, 1.0, 1.0, theta_t
 
     return step
@@ -325,19 +328,14 @@ def _wang_policy(state: _RunState):
     sublinear reference, no lower bound on lengthscales."""
     config = state.config
 
-    def x_next_fn(gp_c):
-        bs_c = state.beta(config.b0, gp_c.mutual_information())
-        return maximize_ucb(gp_c, bs_c, state.objective.dim, seed=config.seed)
-
     def step(t):
-        c = adaptation.wang_baseline_scale(state.gp, config.kappa, x_next_fn)
-        g_total = state.trace.g[-1]
-        if c > 1.0:
-            # rescale the current kernel: rebuilding it from theta0 / g_total
-            # differs in the last bits
-            state.gp = state.gp.set_kernel(state.gp.kernel.scaled(c))
-            g_total *= c
-        return config.b0, g_total, 1.0, g_total, state.theta0 / g_total
+        g_prev = state.trace.g[-1]
+        c = adaptation.wang_baseline_scale(
+            config.kappa,
+            lambda c: state.choice(state.theta0 / (g_prev * c), config.b0)[3],
+        )
+        g = g_prev * c
+        return config.b0, g, 1.0, g, state.theta0 / g
 
     return step
 
@@ -351,14 +349,15 @@ POLICIES = {
 
 def run(objective: ObjectiveSpec, config: AlgorithmConfig) -> RunTrace:
     """UCB loop: the variant's policy picks theta_t and the norm bound, then
-    the loop maximizes mu + beta^{1/2} sigma, observes and records."""
+    the loop builds the GP under theta_t, maximizes mu + beta^{1/2} sigma,
+    observes and records."""
     state = _RunState(objective, config)
     if state.trace.aborted:
         return state.trace
     policy = POLICIES[config.variant](state)
     for t in range(1, config.iterations + 1):
         norm_bound, g, b, h, theta_t = policy(t)
-        bs, x_next, sigma = state.ucb_choice(state.gp, norm_bound)
+        state.gp, bs, x_next, sigma = state.choice(theta_t, norm_bound)
         if not state.observe(t, x_next, bs, g, b, h, theta_t):
             break
         state.widths.append(2.0 * bs * sigma)

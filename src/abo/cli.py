@@ -50,6 +50,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must not repeat, got {self.seeds}")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
         if self.init_points is not None and self.init_points < 0:

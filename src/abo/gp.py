@@ -1,6 +1,6 @@
 """Exact Gaussian-process posterior inference on accumulated observations.
 
-States are immutable: adding data or swapping the kernel returns a new
+States are immutable: adding data or swapping in another kernel returns a new
 object with a freshly built Cholesky factorization of (K + sigma^2 I).
 """
 
@@ -100,7 +100,11 @@ class GaussianProcess:
         return GaussianProcess(self.kernel, self.noise_sigma, X, yv)
 
     def set_kernel(self, kernel: KernelSpec) -> "GaussianProcess":
-        """Same data reinterpreted under a new prior covariance."""
+        """Same data reinterpreted under a new prior covariance; this state
+        itself if the kernel is unchanged."""
+        same = (kernel.family, kernel.nu) == (self.kernel.family, self.kernel.nu)
+        if same and np.array_equal(kernel.lengthscales, self.kernel.lengthscales):
+            return self
         return GaussianProcess(kernel, self.noise_sigma, self.X, self.y)
 
     def posterior(self, Xq) -> tuple[np.ndarray, np.ndarray]:

@@ -59,25 +59,23 @@ class TestDecompose:
 
 class TestScaledHyperparameters:
     def test_identity(self):
-        theta, bt = scaled_hyperparameters(state(), 1.0)
+        g, b, theta, bt = scaled_hyperparameters(state(), 1.0)
+        assert (g, b) == (1.0, 1.0)
         np.testing.assert_array_equal(theta, np.ones(1))
         assert bt == 2.0
 
     def test_known_arithmetic(self):
-        # g=2, b=1.5 corresponds to h = b * g^d = 6 at lam chosen freely;
-        # verify the formula through a state with matching decomposition
         s = state(dim=2, theta0=np.ones(2))
-        g, b = 2.0, 1.5
-        theta = s.theta0 / g
-        bt = b * g**s.dim * s.b0
-        np.testing.assert_allclose(theta, [0.5, 0.5])
-        assert bt == 12.0
+        g, b, theta, bt = scaled_hyperparameters(s, 6.0)
+        assert (g, b) == decompose(6.0, s.lam, s.dim)
+        np.testing.assert_array_equal(theta, s.theta0 / g)
+        assert bt == b * g**2 * s.b0
 
     def test_monotone_in_h(self):
         s = state()
-        prev_theta, prev_b = scaled_hyperparameters(s, 1.0)
+        _, _, prev_theta, prev_b = scaled_hyperparameters(s, 1.0)
         for h in (1.5, 2.0, 5.0, 20.0):
-            theta, bt = scaled_hyperparameters(s, h)
+            _, _, theta, bt = scaled_hyperparameters(s, h)
             assert np.all(theta <= prev_theta)
             assert bt >= prev_b
             prev_theta, prev_b = theta, bt
@@ -196,30 +194,47 @@ class TestSolveH:
         assert got >= 2.0
 
 
+def sigma_under(gp, x_next):
+    """sigma_at(c) for a fixed next input: the posterior standard deviation
+    at x_next with the lengthscales shrunk by c; records each c."""
+    seen = []
+
+    def sigma_at(c):
+        seen.append(c)
+        _, var = gp.set_kernel(gp.kernel.scaled(c)).posterior_mean_var(x_next)
+        return math.sqrt(var)
+
+    return sigma_at, seen
+
+
 class TestWangBaselineScale:
     def test_prior_needs_no_shrink(self):
         gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1)
-        assert wang_baseline_scale(gp, 0.1, lambda g: np.array([0.5])) == 1.0
+        sigma_at, seen = sigma_under(gp, np.array([0.5]))
+        assert wang_baseline_scale(0.1, sigma_at) == 1.0
+        assert seen == [1.0]
 
     def test_dense_data_forces_shrink(self):
         X = np.linspace(0, 1, 40)[:, None]
         gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1, X, np.zeros(40))
-        x_next = np.array([0.475])  # off-grid interior point
-        c = wang_baseline_scale(gp, 0.1, lambda g: x_next)
-        assert c > 1.0
+        sigma_at, seen = sigma_under(gp, np.array([0.475]))  # off-grid interior point
+        c = wang_baseline_scale(0.1, sigma_at)
+        grid = list(seen)
+        assert c > 1.0 and grid[-1] == c
+        np.testing.assert_allclose(grid, 1.05 ** np.arange(len(grid)), rtol=1e-12)
         # smallest grid factor: the next-lower candidate violates sigma >= kappa
-        shrunk = gp.set_kernel(gp.kernel.scaled(c))
-        _, var = shrunk.posterior_mean_var(x_next)
-        assert math.sqrt(var) >= 0.1
-        lower = gp.set_kernel(gp.kernel.scaled(c / 1.05))
-        _, var_lower = lower.posterior_mean_var(x_next)
-        assert math.sqrt(var_lower) < 0.1
+        assert sigma_at(c) >= 0.1
+        assert sigma_at(grid[-2]) < 0.1
 
     def test_tiny_kappa(self):
-        gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1)
-        assert wang_baseline_scale(gp, 1e-12, lambda g: np.array([0.5])) == 1.0
+        gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1, [[0.5]], [0.0])
+        sigma_at, _ = sigma_under(gp, np.array([0.5]))
+        assert wang_baseline_scale(1e-12, sigma_at) == 1.0
 
     def test_invalid_kappa(self):
         gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1)
-        with pytest.raises(ValueError):
-            wang_baseline_scale(gp, 0.0, lambda g: np.array([0.5]))
+        sigma_at, seen = sigma_under(gp, np.array([0.5]))
+        for kappa in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                wang_baseline_scale(kappa, sigma_at)
+        assert seen == []

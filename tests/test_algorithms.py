@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from abo import algorithms
 from abo.algorithms import AlgorithmConfig, maximize_ucb, run
+from abo.cli import make_objective
 from abo.confidence import ConfidenceParams, beta_sqrt
 from abo.gp import GaussianProcess
 from abo.kernels import KernelSpec
@@ -138,27 +140,51 @@ class TestRunTraces:
         np.testing.assert_array_equal(np.asarray(wang.X), np.asarray(fixed.X))
         np.testing.assert_array_equal(wang.y, fixed.y)
 
-    def test_trace_replay_reproduces_beta_sigma_widths(self):
-        # rebuild the GP from logged rows and check logged beta against the
-        # confidence formula under the logged schedule
-        obj = small_objective()
-        config = AlgorithmConfig(iterations=6, seed=0)
+    @pytest.mark.parametrize(
+        "variant, settings",
+        [
+            ("agp_ucb", dict(b0=0.5, noise_sigma=0.01)),  # the schedule expands
+            ("fixed_gp_ucb", dict(map_mode="combine_max")),
+            ("wang_shrink", {}),
+        ],
+        ids=["agp_ucb", "fixed_gp_ucb_combine_max", "wang_shrink"],
+    )
+    def test_trace_replay_reproduces_beta_sigma_widths(self, variant, settings):
+        # rebuild each step's GP from the logged theta and the earlier rows:
+        # the logged beta and the chosen input follow bit for bit
+        obj = make_objective("example_rkhs", 0)
+        config = AlgorithmConfig(variant=variant, iterations=15, seed=0, **settings)
         trace = run(obj, config)
-        X = np.asarray(trace.X)
-        y = np.asarray(trace.y)
-        iters = np.asarray(trace.iters)
-        for t in range(1, 7):
-            i = int(np.where(iters == t)[0][0])
-            past = slice(0, i)
-            theta_t = trace.theta[i]
+        X, y = np.asarray(trace.X), np.asarray(trace.y)
+        for i in np.flatnonzero(trace.bo_slice()):
             gp = GaussianProcess(
-                obj.kernel.with_lengthscales(theta_t), config.noise_sigma,
-                X[past], y[past],
+                obj.kernel.with_lengthscales(trace.theta[i]), config.noise_sigma,
+                X[:i], y[:i],
             )
-            norm_bound = trace.b[i] * trace.g[i] ** obj.dim * config.b0
+            norm_bound = config.b0
+            if variant == "agp_ucb":
+                norm_bound = trace.b[i] * trace.g[i] ** obj.dim * config.b0
             params = ConfidenceParams(config.delta, config.noise_sigma, norm_bound)
-            expect = beta_sqrt(params, gp.mutual_information())
-            assert trace.beta_sqrt[i] == pytest.approx(expect, abs=1e-8)
+            bs = beta_sqrt(params, gp.mutual_information())
+            assert trace.beta_sqrt[i] == bs
+            np.testing.assert_array_equal(maximize_ucb(gp, bs, obj.dim, config.seed), X[i])
+
+    @pytest.mark.parametrize(
+        "settings", [dict(variant="wang_shrink"), dict(estimator="one_step")],
+        ids=["wang_shrink", "one_step"],
+    )
+    def test_no_repeated_ucb_maximization(self, monkeypatch, settings):
+        calls = []
+
+        def spy(gp, bs, d, seed=0):
+            calls.append((gp.kernel.lengthscales.tobytes(), gp.num_observations, bs))
+            return maximize_ucb(gp, bs, d, seed)
+
+        monkeypatch.setattr(algorithms, "maximize_ucb", spy)
+        run(make_objective("example_rkhs", 0),
+            AlgorithmConfig(iterations=15, seed=0, **settings))
+        assert len(calls) > 15
+        assert len(set(calls)) == len(calls)
 
     def test_determinism(self):
         obj = small_objective()

@@ -247,10 +247,12 @@ class TestCommandLine:
             ("noise_sigma", "[algorithm.a]\nnoise_sigma = inf"),
             ("theta0", "[algorithm.a]\ntheta0 = 0.5, 0.5"),
             ("init_points", "init_points = -1"),
+            ("seeds", "seeds = 0, 0"),
         ],
     )
     def test_run_rejects_bad_value_before_any_run(self, tmp_path, capsys, key, lines):
-        text = f"[experiment]\nproblem = example_rkhs\nseeds = 0, 1\niterations = 2\n{lines}\n"
+        seeds = "" if key == "seeds" else "seeds = 0, 1\n"
+        text = f"[experiment]\nproblem = example_rkhs\n{seeds}iterations = 2\n{lines}\n"
         out = tmp_path / "out"
         assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()

@@ -111,12 +111,19 @@ class TestSetKernel:
     def test_same_kernel_is_identity(self):
         rng = np.random.default_rng(4)
         X = rng.uniform(size=(5, 1))
-        gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1, X, rng.standard_normal(5))
-        swapped = gp.set_kernel(gp.kernel)
-        Xq = rng.uniform(size=(7, 1))
-        m1, v1 = gp.posterior(Xq)
-        m2, v2 = swapped.posterior(Xq)
-        assert np.array_equal(m1, m2) and np.array_equal(v1, v2)
+        kernel = KernelSpec(np.ones(1), family="matern", nu=2.5)
+        gp = GaussianProcess(kernel, 0.1, X, rng.standard_normal(5))
+        assert gp.set_kernel(gp.kernel) is gp
+        assert gp.set_kernel(kernel.with_lengthscales(np.ones(1))) is gp
+        changes = (
+            kernel.scaled(1.5),
+            KernelSpec(np.ones(1), family="matern", nu=1.5),
+            KernelSpec(np.ones(1)),
+        )
+        for changed in changes:
+            swapped = gp.set_kernel(changed)
+            assert swapped is not gp and swapped.kernel is changed
+            assert swapped.log_marginal_likelihood() != gp.log_marginal_likelihood()
 
     def test_shrinking_lengthscales_raises_variance(self):
         gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1, [[0.0]], [1.0])
