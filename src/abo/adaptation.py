@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from .kernels import SQUARED_EXPONENTIAL, KernelSpec
+
 log = logging.getLogger(__name__)
 
 REGRET_BOUND = "regret_bound"
@@ -61,6 +63,14 @@ def c1_constant(noise_sigma: float) -> float:
     return 8.0 / math.log(1.0 + noise_sigma**-2)
 
 
+def gamma_exponent(kernel: KernelSpec) -> float:
+    """Exponent of g in the scaled information gain (g/g_prev)^e I_prev:
+    d for the squared-exponential kernel, 2 nu + d for Matern."""
+    if kernel.family == SQUARED_EXPONENTIAL:
+        return float(kernel.dim)
+    return 2.0 * kernel.nu + kernel.dim
+
+
 @dataclass
 class ScalingState:
     """Per-run schedule state; h_prev only ever increases."""
@@ -69,15 +79,12 @@ class ScalingState:
     dim: int
     theta0: np.ndarray
     b0: float
+    gamma_exponent: float  # see gamma_exponent(kernel)
     reference_exponent: float = 0.9
-    gamma_exponent: float | None = None
     h_prev: float = 1.0
 
     def __post_init__(self):
         self.theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
-        if self.gamma_exponent is None:
-            # d for the squared-exponential family; 2*nu + d for Matern
-            self.gamma_exponent = float(self.dim)
         if not 0 < self.reference_exponent < 1:
             raise ValueError("reference exponent must lie in (0, 1)")
 

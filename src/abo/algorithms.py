@@ -4,18 +4,15 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import adaptation, hyperparam
 from .adaptation import ESTIMATORS, REGRET_BOUND, ScalingState
 from .confidence import ConfidenceParams, beta_sqrt
 from .gp import GaussianProcess
-from .kernels import SQUARED_EXPONENTIAL
-from .objectives import ObjectiveSpec, evaluate_objective
+from .objectives import ObjectiveSpec, evaluate_objective, sobol_points
 from .rng import make_rng
 
 log = logging.getLogger(__name__)
@@ -140,12 +137,6 @@ class RunTrace:
         return np.asarray(self.iters) >= 1
 
 
-def _sobol_candidates(d: int, n: int) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return qmc.Sobol(d, scramble=False).random(n)
-
-
 def maximize_ucb(
     state: GaussianProcess, beta_sqrt: float, d: int, seed: int = 0
 ) -> np.ndarray:
@@ -162,7 +153,7 @@ def maximize_ucb(
         mean, var = state.posterior(Xq)
         return mean + beta_sqrt * np.sqrt(var)
 
-    cand = _sobol_candidates(d, _SCAN_PER_DIM * d)
+    cand = sobol_points(d, _SCAN_PER_DIM * d)
     extra = make_rng(seed, tag="ucb-candidates").uniform(size=(_RANDOM_EXTRA, d))
     cand = np.vstack([cand, extra])
     vals = acq(cand)
@@ -265,18 +256,13 @@ class _RunState:
 def _agp_policy(state: _RunState):
     """Adaptive schedule: h solves estimate(h) = p(t); optional MAP step."""
     config = state.config
-    d = state.objective.dim
     scaling = ScalingState(
         lam=config.lam,
-        dim=d,
+        dim=state.objective.dim,
         theta0=state.theta0,
         b0=config.b0,
         reference_exponent=config.reference_exponent,
-        gamma_exponent=(
-            float(d)
-            if state.kernel0.family == SQUARED_EXPONENTIAL
-            else 2.0 * state.kernel0.nu + d
-        ),
+        gamma_exponent=adaptation.gamma_exponent(state.kernel0),
     )
 
     def step(t):

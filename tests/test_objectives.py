@@ -1,8 +1,10 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
+from abo.cli import make_objective
 from abo.errors import InvalidSpecError
 from abo.kernels import KernelSpec, rkhs_norm_of_expansion
 from abo.objectives import (
@@ -69,7 +71,7 @@ class TestMakeRkhsFunction:
         obj = make_rkhs_function(spec_1d(), m=30, target_norm=2.0, seed=0)
         probes = rng.uniform(size=(100_000, 1))
         vals = evaluate_objective(obj, probes)
-        assert vals.max() <= obj.f_max + 1e-6
+        assert vals.max() <= obj.f_max + 1e-12 * obj.value_range
 
     def test_sup_norm_bounded_by_rkhs_norm(self):
         rng = np.random.default_rng(1)
@@ -117,11 +119,42 @@ class TestMakeGpSampleFunction:
         kernel = KernelSpec(np.full(2, 0.1))
         obj = make_gp_sample_function(kernel, grid_size=56, target_norm=4.0, seed=0)
         vals = evaluate_objective(obj, rng.uniform(size=(100_000, 2)))
-        assert vals.max() <= obj.f_max + 1e-6
+        assert vals.max() <= obj.f_max + 1e-12 * obj.value_range
 
     def test_invalid_grid(self):
         with pytest.raises(InvalidSpecError):
             make_gp_sample_function(spec_1d(), grid_size=1, target_norm=4.0, seed=0)
+
+
+class TestExtrema:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            *(partial(make_objective, "synthetic_4d", s) for s in (0, 3, 19, 300, 347)),
+            partial(
+                make_gp_sample_function,
+                KernelSpec(np.full(2, 0.1)), grid_size=56, target_norm=4.0, seed=1,
+            ),
+        ],
+        ids=["4d-0", "4d-3", "4d-19", "4d-300", "4d-347", "gp-2d"],
+    )
+    def test_extrema_bound_sample_and_centers(self, make):
+        # the extrema of a kernel expansion lie near its centers or on the
+        # cube's boundary; clipping a sample of a larger box puts a share of
+        # it on the faces, edges and corners, where seeds 19, 300 and 347
+        # have their maximum
+        obj = make()
+        X = np.clip(
+            np.random.default_rng(0).uniform(-0.25, 1.25, size=(100_000, obj.dim)),
+            0.0, 1.0,
+        )
+        vals = np.concatenate(
+            [evaluate_objective(obj, chunk) for chunk in np.array_split(X, 10)]
+            + [evaluate_objective(obj, obj.centers)]
+        )
+        tol = 1e-12 * obj.value_range
+        assert vals.max() <= obj.f_max + tol
+        assert vals.min() >= obj.f_min - tol
 
 
 class TestBumpLinearPreset:
