@@ -43,6 +43,10 @@ CASES["agp_ucb_4d_combine_max"] = (
     "synthetic_4d",
     dict(variant="agp_ucb", map_mode="combine_max", theta0=0.5, init_points=4),
 )
+# the acquisition-bound path: 4-d scans under the default schedule, no MAP
+CASES["agp_ucb_4d_off"] = (
+    "synthetic_4d", dict(variant="agp_ucb", estimator="regret_bound", map_mode="off")
+)
 
 
 def write_trace(name: str, path: str) -> None:
