@@ -1,7 +1,15 @@
 """Exact Gaussian-process posterior inference on accumulated observations.
 
 States are immutable: adding data or swapping in another kernel returns a new
-object with a freshly built Cholesky factorization of (K + sigma^2 I).
+object with a freshly built Cholesky factorization L L^T = K + sigma^2 I.
+
+``posterior`` is the acquisition's inner loop, so it works by matrix
+products: the query-data distances come from one GEMM
+(``kernels.sq_distance_by_product``), and the variance from L^-1, which a
+state computes on its first query and keeps. Its results differ from the
+difference form's in the last bits. The Gram matrix, the log evidence and the
+MAP objective keep the difference form (``kernels.sq_distance``), whose bits
+the Cholesky factor, the MAP search and the golden traces depend on.
 """
 
 from __future__ import annotations
@@ -81,6 +89,7 @@ class GaussianProcess:
         self.X = X
         self.y = y
         self._factorize()
+        self._L_inv = None  # L^-1, built by the first posterior query; never stale
 
     def _factorize(self):
         K = kernels.gram_matrix(self.kernel, self.X)
@@ -109,14 +118,19 @@ class GaussianProcess:
 
     def posterior(self, Xq) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at a batch of query points (n, d)."""
-        Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+        Xq = kernels._check_points(self.kernel, Xq)
         n = Xq.shape[0]
         if self.num_observations == 0:
             return np.zeros(n), np.ones(n)
-        Kx = kernels.cross_gram(self.kernel, Xq, self.X)  # (n, t)
+        sq = kernels.sq_distance_by_product(Xq, self.X, self.kernel.lengthscales)
+        Kx = kernels.profile(self.kernel, sq)  # (n, t)
         mean = Kx @ self._alpha
-        V = solve_triangular(self._L, Kx.T, lower=True)  # (t, n)
-        var = 1.0 - np.einsum("tn,tn->n", V, V)
+        if self._L_inv is None:
+            self._L_inv = solve_triangular(self._L, np.eye(self.num_observations), lower=True)
+        # row i is L^-1 k(X, x_i); written over sq, which is no longer needed,
+        # to spare one fresh (n, t) array
+        V = np.matmul(Kx, self._L_inv.T, out=sq)
+        var = 1.0 - np.einsum("nt,nt->n", V, V)
         return mean, np.clip(var, 0.0, 1.0)
 
     def posterior_mean_var(self, x) -> tuple[float, float]:

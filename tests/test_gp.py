@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
-from abo.errors import InvalidObservationError
+from abo import gp as gp_module
+from abo.errors import DimensionMismatchError, InvalidObservationError
 from abo.gp import GaussianProcess
 from abo.kernels import KernelSpec, cross_gram, gram_matrix
 
@@ -47,6 +49,53 @@ class TestPosterior:
             np.testing.assert_allclose(
                 var, 1.0 - np.einsum("qt,tu,qu->q", kq, Kinv, kq), atol=1e-8
             )
+
+    @pytest.mark.parametrize("t", [0, 4])
+    def test_rejects_bad_queries(self, t):
+        rng = np.random.default_rng(t)
+        gp = GaussianProcess(
+            KernelSpec([0.3, 0.3]), 0.1, rng.uniform(size=(t, 2)), rng.standard_normal(t)
+        )
+        with pytest.raises(DimensionMismatchError):
+            gp.posterior(np.zeros((3, 5)))
+        with pytest.raises(DimensionMismatchError):
+            gp.posterior([[np.nan, 0.5]])
+
+    @pytest.mark.parametrize("t", [1, 25, 100])
+    @pytest.mark.parametrize("sigma", [0.1, 1e-2, 1e-3])
+    @pytest.mark.parametrize("nu", [None, 2.5])
+    def test_matches_cross_gram_and_triangular_solve(self, nu, sigma, t):
+        # the difference-form kernel and one triangular solve per query batch
+        family = "matern" if nu else "se"
+        spec = KernelSpec(np.full(3, 0.3), family, nu)
+        rng = np.random.default_rng(t)
+        X = rng.uniform(size=(t, 3))
+        gp = GaussianProcess(spec, sigma, X, rng.standard_normal(t))
+        Xq = np.vstack([rng.uniform(size=(200, 3)), X])
+        mean, var = gp.posterior(Xq)
+        Kx = cross_gram(spec, Xq, X)
+        V = solve_triangular(gp._L, Kx.T, lower=True)
+        ref_var = np.clip(1.0 - np.einsum("tn,tn->n", V, V), 0.0, 1.0)
+        np.testing.assert_allclose(var, ref_var, rtol=0, atol=1e-13)
+        alpha_l1 = np.abs(gp._alpha).sum()
+        np.testing.assert_allclose(mean, Kx @ gp._alpha, rtol=0, atol=1e-13 * alpha_l1)
+
+    def test_inverse_factor_built_once_per_state(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        gp = GaussianProcess(
+            KernelSpec(np.full(2, 0.3)), 0.1, rng.uniform(size=(10, 2)), rng.standard_normal(10)
+        )
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return solve_triangular(*args, **kwargs)
+
+        monkeypatch.setattr(gp_module, "solve_triangular", counting)
+        for _ in range(3):
+            gp.posterior(rng.uniform(size=(5, 2)))
+            gp.posterior_mean_var([0.2, 0.4])
+        assert calls == [(10, 10)]
 
     def test_variance_clipped_to_unit_interval(self):
         rng = np.random.default_rng(1)

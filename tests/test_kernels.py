@@ -8,7 +8,10 @@ from abo.kernels import (
     evaluate,
     gram_matrix,
     interpolant_norm,
+    profile,
     rkhs_norm_of_expansion,
+    sq_distance,
+    sq_distance_by_product,
 )
 
 
@@ -138,6 +141,26 @@ class TestCrossGram:
                 assert G[i, j] == pytest.approx(
                     evaluate(spec, X[i], X2[j]), abs=1e-14
                 )
+
+
+class TestSqDistanceByProduct:
+    # rounding of |a|^2 + |b|^2 - 2 a.b grows as d * eps / l^2
+    @pytest.mark.parametrize("ls, tol", [(1.0, 1e-12), (0.3, 1e-12), (0.1, 1e-12), (0.01, 1e-10)])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("nu", [None, 1.5, 2.5])
+    def test_agrees_with_difference_form(self, nu, d, ls, tol):
+        spec = matern(nu, *[ls] * d) if nu else se(*[ls] * d)
+        rng = np.random.default_rng(d)
+        X = rng.uniform(size=(40, d))
+        Q = np.vstack([rng.uniform(size=(100, d)), X])  # ends with copies of X
+        sq = sq_distance_by_product(Q, X, spec.lengthscales)
+        reference = sq_distance(Q[:, None, :] - X[None, :, :], spec.lengthscales)
+        assert np.all(sq >= 0.0)
+        np.testing.assert_allclose(profile(spec, sq), cross_gram(spec, Q, X), rtol=0, atol=tol)
+        np.testing.assert_array_equal(np.diag(reference[100:]), 0.0)
+        copies = np.diag(sq[100:])
+        np.testing.assert_allclose(copies, 0.0, rtol=0, atol=tol)
+        np.testing.assert_allclose(np.diag(profile(spec, sq[100:])), 1.0, rtol=0, atol=tol)
 
 
 class TestRkhsNorm:
