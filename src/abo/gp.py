@@ -7,9 +7,10 @@ object with a freshly built Cholesky factorization L L^T = K + sigma^2 I.
 products: the query-data distances come from one GEMM
 (``kernels.sq_distance_by_product``), and the variance from L^-1, which a
 state computes on its first query and keeps. Its results differ from the
-difference form's in the last bits. The Gram matrix, the log evidence and the
-MAP objective keep the difference form (``kernels.sq_distance``), whose bits
-the Cholesky factor, the MAP search and the golden traces depend on.
+difference form's in the last bits. The Gram matrix, the MAP objective and the
+objectives' values keep the difference form (``kernels.sq_distance``), whose
+bits the Cholesky factor, the MAP search, ``f_max`` and the golden traces
+depend on.
 """
 
 from __future__ import annotations

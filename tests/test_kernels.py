@@ -10,7 +10,6 @@ from abo.kernels import (
     interpolant_norm,
     profile,
     rkhs_norm_of_expansion,
-    sq_distance,
     sq_distance_by_product,
 )
 
@@ -154,13 +153,10 @@ class TestSqDistanceByProduct:
         X = rng.uniform(size=(40, d))
         Q = np.vstack([rng.uniform(size=(100, d)), X])  # ends with copies of X
         sq = sq_distance_by_product(Q, X, spec.lengthscales)
-        reference = sq_distance(Q[:, None, :] - X[None, :, :], spec.lengthscales)
         assert np.all(sq >= 0.0)
         np.testing.assert_allclose(profile(spec, sq), cross_gram(spec, Q, X), rtol=0, atol=tol)
-        np.testing.assert_array_equal(np.diag(reference[100:]), 0.0)
-        copies = np.diag(sq[100:])
-        np.testing.assert_allclose(copies, 0.0, rtol=0, atol=tol)
-        np.testing.assert_allclose(np.diag(profile(spec, sq[100:])), 1.0, rtol=0, atol=tol)
+        # not exactly 0: a.a from the product and from the norms round apart
+        np.testing.assert_allclose(np.diag(sq[100:]), 0.0, rtol=0, atol=tol)
 
 
 class TestRkhsNorm:
