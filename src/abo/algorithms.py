@@ -104,7 +104,6 @@ class RunTrace:
     """Per-iteration record of one run; init rows carry negative indices."""
 
     dim: int
-    name: str = ""
     iters: list = field(default_factory=list)
     X: list = field(default_factory=list)
     y: list = field(default_factory=list)
@@ -186,7 +185,7 @@ class _RunState:
         self.kernel0 = objective.kernel.with_lengthscales(self.theta0)
         self.gp = GaussianProcess(self.kernel0, config.noise_sigma)
         self.noise_rng = make_rng(config.seed, tag="noise")
-        self.trace = RunTrace(dim=d, name=config.name or config.variant)
+        self.trace = RunTrace(dim=d)
         self.best_f = -np.inf
         self.cumulative = 0.0
         self.prior = hyperparam.LengthscalePrior(

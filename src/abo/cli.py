@@ -11,11 +11,12 @@ import argparse
 import configparser
 import contextlib
 import io
+import multiprocessing
 import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,6 +37,8 @@ from .rng import GENERATOR_NAME
 PROBLEMS = {"example_rkhs": 1, "gp_sample": 1, "synthetic_4d": 4}
 
 _FLOAT_FMT = "%.17g"
+# thread-count variables of the BLAS builds NumPy ships with
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -192,26 +195,21 @@ def trace_header(dim: int) -> list[str]:
 
 def emit_trace(trace: RunTrace, path: str) -> None:
     """Write the trace CSV atomically (temp file + rename)."""
-    rows = []
-    for i in range(len(trace)):
-        row = (
-            [str(trace.iters[i])]
-            + [_FLOAT_FMT % v for v in trace.X[i]]
-            + [
-                _FLOAT_FMT % trace.y[i],
-                _FLOAT_FMT % trace.beta_sqrt[i],
-                _FLOAT_FMT % trace.g[i],
-                _FLOAT_FMT % trace.b[i],
-                _FLOAT_FMT % trace.h[i],
-            ]
-            + [_FLOAT_FMT % v for v in trace.theta[i]]
-            + [
-                _FLOAT_FMT % trace.simple_regret[i],
-                _FLOAT_FMT % trace.cumulative_regret[i],
-            ]
-        )
-        rows.append(",".join(row))
-    _write_atomic(path, "\n".join([",".join(trace_header(trace.dim))] + rows))
+    table = np.column_stack(
+        [trace.iters, np.reshape(trace.X, (-1, trace.dim))]
+        + [trace.y, trace.beta_sqrt, trace.g, trace.b, trace.h]
+        + [np.reshape(trace.theta, (-1, trace.dim))]
+        + [trace.simple_regret, trace.cumulative_regret]
+    )
+    _write_table(path, trace_header(trace.dim), table)
+
+
+def _write_table(path: str, header: list, table, comments=()) -> None:
+    """Write ``# `` comment lines, the header and one row per row of table
+    (integer first column, the rest to 17 significant digits) atomically."""
+    fmt = ",".join(["%d"] + [_FLOAT_FMT] * (len(header) - 1))
+    lines = [f"# {c}" for c in comments] + [",".join(header)]
+    _write_atomic(path, "\n".join(lines + [fmt % tuple(row) for row in table]))
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -232,110 +230,92 @@ def _write_atomic(path: str, text: str) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def read_trace(path: str) -> dict:
-    """Parse a trace CSV back into named float columns."""
+def read_table(path: str) -> dict:
+    """Parse a trace or summary CSV into named float columns, skipping
+    ``#`` lines; a row cut short raises ValueError."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0:
-        data = np.zeros((0, len(header)))
+        lines = [ln for ln in fh if not ln.startswith("#")]
+    header, rows = lines[0].strip().split(","), lines[1:]
+    data = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.zeros((0, len(header)))
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
-def _seed_offset() -> int:
-    value = os.environ.get("ABO_SEED_OFFSET", "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"ABO_SEED_OFFSET must be an integer, got {value!r}")
-
-
-def _execute_run(args):
-    """One (algorithm, seed) cell; module-level for process pools."""
-    algo, seed, problem, iterations, init_points, out_dir = args
-    from dataclasses import replace
-
-    effective_seed = seed + _seed_offset()
-    objective = make_objective(problem, effective_seed)
-    config = replace(
-        algo,
-        seed=effective_seed,
-        iterations=iterations,
-        init_points=init_points,
-    )
-    trace = algorithms.run(objective, config)
-    path = os.path.join(out_dir, f"{algo.name}_seed{seed}.csv")
-    emit_trace(trace, path)
-    if trace.aborted:
-        raise RuntimeError(f"run {algo.name} seed {seed} aborted")
-    return path
-
-
-def _write_summary(name: str, paths: list[str], out_dir: str) -> str:
-    """Per-iteration mean/std of simple and cumulative regret across seeds."""
-    columns = [read_trace(p) for p in sorted(paths)]
-    iters = columns[0]["iter"]
-    simple = np.vstack([c["simple_regret"] for c in columns])
-    cumulative = np.vstack([c["cumulative_regret"] for c in columns])
-    lines = [
-        f"# generator: {GENERATOR_NAME}",
-        f"# seeds: {len(paths)}",
-        "iter,simple_mean,simple_std,cumulative_mean,cumulative_std",
-    ]
-    for j, it in enumerate(iters):
-        lines.append(
-            ",".join(
-                [str(int(it))]
-                + [
-                    _FLOAT_FMT % v
-                    for v in (
-                        simple[:, j].mean(),
-                        simple[:, j].std(),
-                        cumulative[:, j].mean(),
-                        cumulative[:, j].std(),
-                    )
-                ]
-            )
-        )
+def _write_summary(name: str, paths: list[str], out_dir: str):
+    """Per-iteration mean/std of simple and cumulative regret across seeds;
+    returns the summary's path and table."""
+    traces = [read_table(p) for p in sorted(paths)]
+    columns = [traces[0]["iter"]]
+    for key in ("simple_regret", "cumulative_regret"):
+        # seeds along the contiguous axis: each row reduces as one 1-d array
+        by_seed = np.column_stack([t[key] for t in traces])
+        columns += [by_seed.mean(axis=1), by_seed.std(axis=1)]
+    table = np.column_stack(columns)
     path = os.path.join(out_dir, f"{name}_summary.csv")
-    _write_atomic(path, "\n".join(lines))
-    return path
+    header = ["iter", "simple_mean", "simple_std", "cumulative_mean", "cumulative_std"]
+    comments = [f"generator: {GENERATOR_NAME}", f"seeds: {len(paths)}"]
+    _write_table(path, header, table, comments)
+    return path, table
+
+
+def _run_cell(cell):
+    """One (algorithm, seed) run -> (trace path or None, error or None);
+    module-level so that pool workers can unpickle it."""
+    problem, config, seed, path = cell
+    try:
+        trace = algorithms.run(make_objective(problem, config.seed), config)
+        emit_trace(trace, path)
+        if trace.aborted:
+            raise RuntimeError(f"run {config.name} seed {seed} aborted")
+        return path, None
+    except Exception as exc:  # noqa: BLE001 - run isolation is the contract
+        return None, str(exc)
 
 
 def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
     """Run every (algorithm, seed) cell; returns a summary dict.
 
     Failures are recorded per run; the remaining runs still execute.
+    ``parallel > 1`` runs cells in ``spawn``-started workers with one BLAS
+    thread each, unless the caller set one of ``_BLAS_THREADS``; ``os.environ``
+    is restored afterwards. Workers import ``abo`` afresh, so it must be
+    installed or on ``PYTHONPATH`` (a ``sys.path`` edit does not reach them),
+    and a calling script needs an ``if __name__ == "__main__":`` guard.
     """
-    _seed_offset()  # a malformed ABO_SEED_OFFSET fails before any run
+    offset = os.environ.get("ABO_SEED_OFFSET", "0")
+    try:
+        offset = int(offset)
+    except ValueError:
+        raise ConfigError(f"ABO_SEED_OFFSET must be an integer, got {offset!r}")
     out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    jobs = [
-        (algo, seed, config.problem, config.iterations, config.init_points, out_dir)
+    sizes = {"iterations": config.iterations, "init_points": config.init_points}
+    cells = [
+        (config.problem, replace(algo, seed=seed + offset, **sizes), seed,
+         os.path.join(out_dir, f"{algo.name}_seed{seed}.csv"))
         for algo in config.algorithms
         for seed in config.seeds
     ]
-    results: dict = {"traces": {}, "failures": [], "summaries": {}}
     if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            outcomes = list(pool.map(_try_run, jobs))
+        unset = [key for key in _BLAS_THREADS if key not in os.environ]
+        os.environ.update(dict.fromkeys(unset, "1"))
+        try:
+            spawn = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(parallel, mp_context=spawn) as pool:
+                outcomes = list(pool.map(_run_cell, cells))
+        finally:
+            for key in unset:
+                del os.environ[key]
     else:
-        outcomes = [_try_run(job) for job in jobs]
-    for (algo, seed, *_), (path, error) in zip(jobs, outcomes):
+        outcomes = [_run_cell(cell) for cell in cells]
+    results: dict = {"traces": {}, "failures": [], "summaries": {}}
+    for (_, algo, seed, _), (path, error) in zip(cells, outcomes):
         if error is not None:
             results["failures"].append((algo.name, seed, error))
         if path is not None:
             results["traces"].setdefault(algo.name, []).append(path)
     for name, paths in results["traces"].items():
-        results["summaries"][name] = _write_summary(name, paths, out_dir)
+        results["summaries"][name] = _write_summary(name, paths, out_dir)[0]
     return results
-
-
-def _try_run(args):
-    try:
-        return _execute_run(args), None
-    except Exception as exc:  # noqa: BLE001 - run isolation is the contract
-        return None, str(exc)
 
 
 def _cmd_run(args) -> int:
@@ -390,7 +370,7 @@ def _cmd_summarize(args) -> int:
         rows = {}
         for p in files:
             try:
-                rows[p] = len(read_trace(p)["iter"])
+                rows[p] = len(read_table(p)["iter"])
             except ValueError as exc:  # a row cut short by an interrupted copy
                 # numpy appends advice on its own API after the first clause
                 print(f"skipped {p}: {str(exc).split(';')[0]}", file=sys.stderr)
@@ -404,25 +384,16 @@ def _cmd_summarize(args) -> int:
                 status = 1
         files = [p for p in rows if rows[p] == full]
         try:
-            summary = _write_summary(name, files, args.dir)
+            summary, table = _write_summary(name, files, args.dir)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        cols = read_summary(summary)
-        final = cols["simple_mean"][-1]
+        final = table[-1, 1]  # simple_mean
         print(
             f"{name}: {len(files)} seeds, final mean simple regret "
             f"{final:.6g} -> {summary}"
         )
     return status
-
-
-def read_summary(path: str) -> dict:
-    with open(path) as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    header = lines[0].strip().split(",")
-    data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
-    return {name: data[:, i] for i, name in enumerate(header)}
 
 
 def main(argv=None) -> int:

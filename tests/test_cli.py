@@ -7,18 +7,20 @@ import pytest
 
 from abo.algorithms import AlgorithmConfig, RunTrace
 from abo.cli import (
+    _BLAS_THREADS,
     ExperimentConfig,
+    _write_summary,
     emit_trace,
     main,
     make_objective,
     parse_config,
-    read_summary,
-    read_trace,
+    read_table,
     run_experiment,
     serialize_config,
     trace_header,
 )
 from abo.errors import ConfigError
+from abo.rng import GENERATOR_NAME
 
 
 class TestParseConfig:
@@ -116,7 +118,7 @@ class TestObjectiveFactory:
 
 
 def tiny_trace(dim=1):
-    trace = RunTrace(dim=dim, name="t")
+    trace = RunTrace(dim=dim)
     trace.append(-1, np.full(dim, 0.25), 0.1, 0.0, 1.0, 1.0, 1.0, np.ones(dim), 0.9, 0.9)
     trace.append(1, np.full(dim, 0.5), 0.3, 2.4, 1.1, 1.01, 1.111, np.full(dim, 0.9), 0.7, 1.6)
     trace.append(2, np.full(dim, 0.75), 1.0 / 3.0, 2.5, 1.2, 1.02, 1.224, np.full(dim, 0.8), 0.2, 1.8)
@@ -141,7 +143,7 @@ class TestTraceIO:
         path = str(tmp_path / "t.csv")
         trace = tiny_trace()
         emit_trace(trace, path)
-        cols = read_trace(path)
+        cols = read_table(path)
         assert len(cols["iter"]) == 3
         np.testing.assert_array_equal(cols["iter"], [-1, 1, 2])
         np.testing.assert_array_equal(cols["y"], trace.y)  # 17 sig digits
@@ -150,6 +152,30 @@ class TestTraceIO:
     def test_unwritable_path(self):
         with pytest.raises(OSError):
             emit_trace(tiny_trace(), "/proc/definitely/not/writable.csv")
+
+    def test_summary_bits_match_per_iteration_reductions(self, tmp_path):
+        # 11 seeds: numpy sums 8 or more values pairwise, so a reduction
+        # across the seed axis of a (seeds, iterations) array differs
+        rng = np.random.default_rng(0)
+        regrets = {}
+        for seed in range(11):
+            trace = RunTrace(dim=2)
+            s, c = rng.uniform(size=6), np.cumsum(rng.uniform(size=6))
+            for i in range(6):
+                trace.append(i, rng.uniform(size=2), 0.5, 1, 1, 1, 1, np.ones(2), s[i], c[i])
+            path = str(tmp_path / f"a_seed{seed}.csv")
+            emit_trace(trace, path)
+            regrets[path] = np.column_stack([s, c])
+        path, _ = _write_summary("a", list(regrets), str(tmp_path))
+        by_seed = np.stack([regrets[p] for p in sorted(regrets)], axis=2)
+        rows = [
+            ",".join([str(i)] + ["%.17g" % v for v in (
+                np.mean(s), np.std(s), np.mean(c), np.std(c))])
+            for i, (s, c) in enumerate(by_seed)
+        ]
+        header = "iter,simple_mean,simple_std,cumulative_mean,cumulative_std"
+        expected = [f"# generator: {GENERATOR_NAME}", "# seeds: 11", header] + rows
+        assert open(path).read() == "\n".join(expected) + "\n"
 
 
 def write_config(tmp_path, text):
@@ -176,12 +202,12 @@ class TestRunExperiment:
         assert not results["failures"]
         paths = results["traces"]["fixed"]
         assert len(paths) == 2
-        cols = read_trace(paths[0])
+        cols = read_table(paths[0])
         assert len(cols["iter"]) == 5 + 2  # d=1 -> 2 init rows
-        summary = read_summary(results["summaries"]["fixed"])
+        summary = read_table(results["summaries"]["fixed"])
         np.testing.assert_array_equal(summary["iter"], cols["iter"])
         # cross-check the aggregation against the traces
-        simple = np.vstack([read_trace(p)["simple_regret"] for p in sorted(paths)])
+        simple = np.vstack([read_table(p)["simple_regret"] for p in sorted(paths)])
         np.testing.assert_allclose(summary["simple_mean"], simple.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(summary["simple_std"], simple.std(axis=0), atol=1e-12)
 
@@ -208,6 +234,16 @@ class TestRunExperiment:
             a = open(tmp_path / "serial" / f"fixed_seed{seed}.csv", "rb").read()
             b = open(tmp_path / "par" / f"fixed_seed{seed}.csv", "rb").read()
             assert a == b
+
+    def test_parallel_restores_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        for key in set(_BLAS_THREADS) - {"OMP_NUM_THREADS"}:
+            monkeypatch.delenv(key, raising=False)
+        before = dict(os.environ)
+        config = parse_config(SMALL_CONFIG)
+        config.output_dir = str(tmp_path / "par")
+        assert not run_experiment(config, parallel=2)["failures"]
+        assert dict(os.environ) == before
 
     def test_seed_offset_env(self, tmp_path, monkeypatch):
         config = parse_config("seeds = 0\niterations = 3\n[algorithm.a]\nvariant = fixed_gp_ucb\n")
@@ -302,8 +338,8 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"skipped {short}: 5 rows, expected 7"]
         assert "fixed: 2 seeds" in captured.out
-        summary = read_summary(os.path.join(out, "fixed_summary.csv"))
-        full = [read_trace(os.path.join(out, f"fixed_seed{s}.csv")) for s in (0, 2)]
+        summary = read_table(os.path.join(out, "fixed_summary.csv"))
+        full = [read_table(os.path.join(out, f"fixed_seed{s}.csv")) for s in (0, 2)]
         np.testing.assert_allclose(
             summary["simple_mean"],
             np.mean([c["simple_regret"] for c in full], axis=0),
