@@ -76,7 +76,6 @@ class ScalingState:
     """Per-run schedule state; h_prev only ever increases."""
 
     lam: float
-    dim: int
     theta0: np.ndarray
     b0: float
     gamma_exponent: float  # see gamma_exponent(kernel)
@@ -87,6 +86,10 @@ class ScalingState:
         self.theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
         if not 0 < self.reference_exponent < 1:
             raise ValueError("reference exponent must lie in (0, 1)")
+
+    @property
+    def dim(self) -> int:
+        return self.theta0.shape[0]
 
     def accept(self, h: float) -> None:
         if h < self.h_prev:

@@ -137,7 +137,7 @@ class RunTrace:
 
 
 def maximize_ucb(
-    state: GaussianProcess, beta_sqrt: float, d: int, seed: int = 0
+    state: GaussianProcess, beta_sqrt: float, *, seed: int = 0
 ) -> np.ndarray:
     """Argmax of mu + beta^{1/2} sigma on the unit cube.
 
@@ -152,6 +152,7 @@ def maximize_ucb(
         mean, var = state.posterior(Xq)
         return mean + beta_sqrt * np.sqrt(var)
 
+    d = state.kernel.dim
     cand = sobol_points(d, _SCAN_PER_DIM * d)
     extra = make_rng(seed, tag="ucb-candidates").uniform(size=(_RANDOM_EXTRA, d))
     cand = np.vstack([cand, extra])
@@ -240,7 +241,7 @@ class _RunState:
         if key not in self._choices:
             gp = self.gp.set_kernel(self.kernel0.with_lengthscales(theta))
             bs = self.beta(norm_bound, gp.mutual_information())
-            x = maximize_ucb(gp, bs, self.objective.dim, seed=self.config.seed)
+            x = maximize_ucb(gp, bs, seed=self.config.seed)
             _, var = gp.posterior_mean_var(x)
             self._choices[key] = gp, bs, x, float(np.sqrt(var))
         return self._choices[key]
@@ -257,7 +258,6 @@ def _agp_policy(state: _RunState):
     config = state.config
     scaling = ScalingState(
         lam=config.lam,
-        dim=state.objective.dim,
         theta0=state.theta0,
         b0=config.b0,
         reference_exponent=config.reference_exponent,

@@ -232,9 +232,12 @@ def _write_atomic(path: str, text: str) -> None:
 
 def read_table(path: str) -> dict:
     """Parse a trace or summary CSV into named float columns, skipping
-    ``#`` lines; a row cut short raises ValueError."""
+    ``#`` and blank lines; a missing header or a row cut short raises
+    ValueError."""
     with open(path) as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
+        lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
+    if not lines:
+        raise ValueError("no header line")
     header, rows = lines[0].strip().split(","), lines[1:]
     data = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.zeros((0, len(header)))
     return {name: data[:, i] for i, name in enumerate(header)}
@@ -371,13 +374,17 @@ def _cmd_summarize(args) -> int:
         for p in files:
             try:
                 rows[p] = len(read_table(p)["iter"])
-            except ValueError as exc:  # a row cut short by an interrupted copy
+            except ValueError as exc:  # a file or row cut short by an interrupted copy
                 # numpy appends advice on its own API after the first clause
                 print(f"skipped {p}: {str(exc).split(';')[0]}", file=sys.stderr)
                 status = 1
         if not rows:
             continue
         full = max(rows.values())
+        if full == 0:
+            print(f"skipped {name}: every trace has 0 rows", file=sys.stderr)
+            status = 1
+            continue
         for p, n in rows.items():
             if n < full:
                 print(f"skipped {p}: {n} rows, expected {full}", file=sys.stderr)

@@ -10,7 +10,8 @@ state computes on its first query and keeps. Its results differ from the
 difference form's in the last bits. The Gram matrix, the MAP objective and the
 objectives' values keep the difference form (``kernels.sq_distance``), whose
 bits the Cholesky factor, the MAP search, ``f_max`` and the golden traces
-depend on.
+depend on. That form also makes every Gram matrix exactly symmetric with a
+unit diagonal, so nothing symmetrizes it before factorization.
 """
 
 from __future__ import annotations

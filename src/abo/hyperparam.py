@@ -64,7 +64,7 @@ def _log_posterior(state: GaussianProcess, prior: LengthscalePrior):
         if key not in memo:
             K = kernels.profile(state.kernel, kernels.sq_distance(diff, theta))
             try:
-                *_, lml = factorize(kernels.symmetrize(K), state.noise_sigma, state.y)
+                *_, lml = factorize(K, state.noise_sigma, state.y)
                 memo[key] = lml + prior.log_density(theta)
             except SingularModelError:
                 memo[key] = -math.inf

@@ -41,8 +41,6 @@ class KernelSpec:
         ls.setflags(write=False)
         object.__setattr__(self, "lengthscales", ls)
         if self.family == MATERN:
-            if self.nu is None or self.nu <= 1:
-                raise InvalidSpecError("Matern kernels require nu > 1")
             if self.nu not in _MATERN_CLOSED_FORM:
                 raise InvalidSpecError(
                     f"Matern nu={self.nu} unsupported; closed forms exist "
@@ -101,7 +99,7 @@ def profile(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
     """Kernel values as a function of squared scaled distance."""
     if spec.family == SQUARED_EXPONENTIAL:
         return np.exp(-0.5 * sq)
-    s = np.sqrt(np.maximum(sq, 0.0))
+    s = np.sqrt(sq)
     if spec.nu == 1.5:
         r = np.sqrt(3.0) * s
         return (1.0 + r) * np.exp(-r)
@@ -122,18 +120,13 @@ def evaluate(spec: KernelSpec, x, x2) -> float:
 
 
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
-    """Symmetric PSD kernel matrix with unit diagonal; n may be 0."""
-    X = np.asarray(X, dtype=float)
-    if X.size == 0:
-        return np.zeros((0, 0))
-    return symmetrize(cross_gram(spec, X, X))
+    """PSD kernel matrix of the rows of X (n, d); n may be 0.
 
-
-def symmetrize(K: np.ndarray) -> np.ndarray:
-    """Exact symmetry and unit diagonal, enforced against rounding."""
-    K = 0.5 * (K + K.T)
-    np.fill_diagonal(K, 1.0)
-    return K
+    Exactly symmetric with a unit diagonal, with no step to enforce it: the
+    difference form gives x_j - x_i = -(x_i - x_j) bit for bit, every entry
+    sums the same squares in the same order, and ``profile`` maps 0 to 1.
+    """
+    return cross_gram(spec, X, X)
 
 
 def rkhs_norm_of_expansion(spec: KernelSpec, centers, weights) -> float:
@@ -150,15 +143,15 @@ def rkhs_norm_of_expansion(spec: KernelSpec, centers, weights) -> float:
     return float(np.sqrt(max(q, 0.0)))
 
 
-def interpolant_norm(spec: KernelSpec, grid, values, jitter: float = GRAM_JITTER) -> float:
+def interpolant_norm(spec: KernelSpec, grid, values) -> float:
     """Norm of the minimum-norm interpolant through (grid, values).
 
-    Computes sqrt(v^T (K + jitter I)^{-1} v); a lower bound on the RKHS norm
-    of any function matching the values on the grid.
+    Computes sqrt(v^T (K + GRAM_JITTER I)^{-1} v); a lower bound on the RKHS
+    norm of any function matching the values on the grid.
     """
     v = np.atleast_1d(np.asarray(values, dtype=float))
     K = gram_matrix(spec, grid)
-    K = K + jitter * np.eye(K.shape[0])
+    K = K + GRAM_JITTER * np.eye(K.shape[0])
     from scipy.linalg import cho_factor, cho_solve
 
     c, low = cho_factor(K, lower=True)

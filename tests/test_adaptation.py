@@ -22,7 +22,7 @@ from abo.kernels import MATERN, KernelSpec
 
 
 def state(**kwargs):
-    defaults = dict(lam=0.1, dim=1, theta0=np.ones(1), b0=2.0, gamma_exponent=1.0)
+    defaults = dict(lam=0.1, theta0=np.ones(1), b0=2.0, gamma_exponent=1.0)
     defaults.update(kwargs)
     return ScalingState(**defaults)
 
@@ -66,7 +66,7 @@ class TestScaledHyperparameters:
         assert bt == 2.0
 
     def test_known_arithmetic(self):
-        s = state(dim=2, theta0=np.ones(2))
+        s = state(theta0=np.ones(2))
         g, b, theta, bt = scaled_hyperparameters(s, 6.0)
         assert (g, b) == decompose(6.0, s.lam, s.dim)
         np.testing.assert_array_equal(theta, s.theta0 / g)
@@ -149,7 +149,7 @@ class TestRegretBoundEstimate:
         kernel = KernelSpec(np.ones(2), family=MATERN, nu=2.5)
         assert gamma_exponent(kernel) == 7.0
         assert gamma_exponent(KernelSpec(np.ones(2))) == 2.0
-        s = state(dim=2, theta0=np.ones(2), gamma_exponent=gamma_exponent(kernel))
+        s = state(theta0=np.ones(2), gamma_exponent=gamma_exponent(kernel))
         s.accept(1.5)
         h, t, mi = 3.0, 10, 1.5
         g_prev, _ = decompose(1.5, s.lam, 2)

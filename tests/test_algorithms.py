@@ -48,7 +48,7 @@ class TestConfig:
 class TestMaximizeUcb:
     def test_constant_surface_tie_break(self):
         gp = GaussianProcess(KernelSpec(np.ones(2)), 0.1)
-        x = maximize_ucb(gp, 1.0, 2)
+        x = maximize_ucb(gp, 1.0)
         # prior is flat: the first scan candidate wins and refinement cannot
         # improve on a constant surface
         np.testing.assert_array_equal(x, np.zeros(2))
@@ -57,7 +57,7 @@ class TestMaximizeUcb:
         gp = GaussianProcess(KernelSpec(np.array([0.3])), 0.1).add_observation(
             [0.6], 2.0
         )
-        x = maximize_ucb(gp, 0.05, 1)
+        x = maximize_ucb(gp, 0.05)
         assert abs(x[0] - 0.6) < 0.05
 
     def test_dominates_random_probes(self):
@@ -67,7 +67,7 @@ class TestMaximizeUcb:
             KernelSpec(np.full(2, 0.4)), 0.1, X, rng.standard_normal(8)
         )
         bs = 2.0
-        x = maximize_ucb(gp, bs, 2)
+        x = maximize_ucb(gp, bs)
         mean, var = gp.posterior_mean_var(x)
         best = mean + bs * np.sqrt(var)
         probes = rng.uniform(size=(10_000, 2))
@@ -80,13 +80,13 @@ class TestMaximizeUcb:
         gp = GaussianProcess(
             KernelSpec(np.full(3, 0.5)), 0.1, X, rng.standard_normal(5)
         )
-        x = maximize_ucb(gp, 3.0, 3)
+        x = maximize_ucb(gp, 3.0)
         assert np.all(x >= 0.0) and np.all(x <= 1.0)
 
     def test_invalid_beta(self):
         gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1)
         with pytest.raises(ValueError):
-            maximize_ucb(gp, 0.0, 1)
+            maximize_ucb(gp, 0.0)
 
 
 class TestRunTraces:
@@ -167,7 +167,7 @@ class TestRunTraces:
             params = ConfidenceParams(config.delta, config.noise_sigma, norm_bound)
             bs = beta_sqrt(params, gp.mutual_information())
             assert trace.beta_sqrt[i] == bs
-            np.testing.assert_array_equal(maximize_ucb(gp, bs, obj.dim, config.seed), X[i])
+            np.testing.assert_array_equal(maximize_ucb(gp, bs, seed=config.seed), X[i])
 
     @pytest.mark.parametrize(
         "settings", [dict(variant="wang_shrink"), dict(estimator="one_step")],
@@ -176,9 +176,9 @@ class TestRunTraces:
     def test_no_repeated_ucb_maximization(self, monkeypatch, settings):
         calls = []
 
-        def spy(gp, bs, d, seed=0):
+        def spy(gp, bs, seed=0):
             calls.append((gp.kernel.lengthscales.tobytes(), gp.num_observations, bs))
-            return maximize_ucb(gp, bs, d, seed)
+            return maximize_ucb(gp, bs, seed=seed)
 
         monkeypatch.setattr(algorithms, "maximize_ucb", spy)
         run(make_objective("example_rkhs", 0),

@@ -360,6 +360,29 @@ class TestCommandLine:
         assert "Traceback" not in captured.err
         assert "fixed: 1 seeds" in captured.out
 
+    @pytest.mark.parametrize(
+        "text", ["", "\n", "# generator: copied\n"], ids=["empty", "blank", "comments"]
+    )
+    def test_summarize_skips_trace_without_header(self, tmp_path, capsys, text):
+        out = str(tmp_path / "out")
+        main(["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", out])
+        cut = os.path.join(out, "fixed_seed1.csv")
+        open(cut, "w").write(text)  # an interrupted copy, before the header
+        capsys.readouterr()
+        assert main(["summarize", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"skipped {cut}: no header line"]
+        assert "fixed: 1 seeds" in captured.out
+
+    def test_summarize_skips_algorithm_without_rows(self, tmp_path, capsys):
+        for seed in (0, 1):
+            emit_trace(RunTrace(dim=1), str(tmp_path / f"a_seed{seed}.csv"))
+        assert main(["summarize", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["skipped a: every trace has 0 rows"]
+        assert captured.out == ""
+        assert not os.path.exists(tmp_path / "a_summary.csv")
+
     def test_summarize_reports_unwritable_summary(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         main(["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", out])

@@ -93,6 +93,8 @@ class TestEvaluate:
             matern(0.5, 1.0)
         with pytest.raises(InvalidSpecError):
             matern(3.0, 1.0)
+        with pytest.raises(InvalidSpecError):
+            KernelSpec(lengthscales=np.array([1.0]), family="matern")
 
     def test_spec_does_not_freeze_callers_array(self):
         ls = np.array([1.0, 2.0])
@@ -123,10 +125,17 @@ class TestGramMatrix:
                 assert np.linalg.eigvalsh(K).min() >= -1e-12
 
     def test_symmetric_exact(self):
+        # nothing symmetrizes the Gram matrix before it is factorized, so
+        # the difference form must give symmetry and a unit diagonal bit for bit
         rng = np.random.default_rng(2)
-        X = rng.uniform(size=(9, 2))
-        K = gram_matrix(se(0.4, 0.4), X)
-        assert np.array_equal(K, K.T)
+        for family, nu in (("se", None), ("matern", 1.5), ("matern", 2.5)):
+            for d in range(1, 6):
+                for ell in (1e-3, 0.1, 1.0, 100.0):
+                    X = rng.uniform(size=(40, d))
+                    X = np.vstack([X, X[:5]])[rng.permutation(45)]  # repeated rows
+                    K = gram_matrix(KernelSpec(np.full(d, ell), family, nu), X)
+                    assert np.array_equal(K, K.T)
+                    assert np.all(np.diag(K) == 1.0)
 
 
 class TestCrossGram:
