@@ -65,7 +65,15 @@ class ExperimentConfig:
             )
         if not self.algorithms:
             self.algorithms = [AlgorithmConfig(name="agp_ucb")]
+        names = [algo.name for algo in self.algorithms]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"algorithm names must not repeat, got {names}")
         for algo in self.algorithms:
+            # the name is the stem of the algorithm's files in output_dir
+            if not algo.name or os.path.basename(algo.name) != algo.name:
+                raise ConfigError(
+                    f"algorithm name {algo.name!r} must be a nonempty file-name stem"
+                )
             try:
                 algo.theta0_vector(PROBLEMS[self.problem])
             except ValueError as exc:
@@ -263,12 +271,12 @@ def _write_summary(name: str, paths: list[str], out_dir: str):
 def _run_cell(cell):
     """One (algorithm, seed) run -> (trace path or None, error or None);
     module-level so that pool workers can unpickle it."""
-    problem, config, seed, path = cell
+    problem, config, path = cell
     try:
         trace = algorithms.run(make_objective(problem, config.seed), config)
         emit_trace(trace, path)
         if trace.aborted:
-            raise RuntimeError(f"run {config.name} seed {seed} aborted")
+            raise RuntimeError(f"run {config.name} seed {config.seed} aborted")
         return path, None
     except Exception as exc:  # noqa: BLE001 - run isolation is the contract
         return None, str(exc)
@@ -284,16 +292,11 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
     installed or on ``PYTHONPATH`` (a ``sys.path`` edit does not reach them),
     and a calling script needs an ``if __name__ == "__main__":`` guard.
     """
-    offset = os.environ.get("ABO_SEED_OFFSET", "0")
-    try:
-        offset = int(offset)
-    except ValueError:
-        raise ConfigError(f"ABO_SEED_OFFSET must be an integer, got {offset!r}")
     out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     sizes = {"iterations": config.iterations, "init_points": config.init_points}
     cells = [
-        (config.problem, replace(algo, seed=seed + offset, **sizes), seed,
+        (config.problem, replace(algo, seed=seed, **sizes),
          os.path.join(out_dir, f"{algo.name}_seed{seed}.csv"))
         for algo in config.algorithms
         for seed in config.seeds
@@ -311,9 +314,9 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
     else:
         outcomes = [_run_cell(cell) for cell in cells]
     results: dict = {"traces": {}, "failures": [], "summaries": {}}
-    for (_, algo, seed, _), (path, error) in zip(cells, outcomes):
+    for (_, algo, _), (path, error) in zip(cells, outcomes):
         if error is not None:
-            results["failures"].append((algo.name, seed, error))
+            results["failures"].append((algo.name, algo.seed, error))
         if path is not None:
             results["traces"].setdefault(algo.name, []).append(path)
     for name, paths in results["traces"].items():
@@ -373,8 +376,12 @@ def _cmd_summarize(args) -> int:
         rows = {}
         for p in files:
             try:
-                rows[p] = len(read_table(p)["iter"])
-            except ValueError as exc:  # a file or row cut short by an interrupted copy
+                table = read_table(p)
+                for key in ("iter", "simple_regret", "cumulative_regret"):
+                    if key not in table:
+                        raise ValueError(f"no {key!r} column")
+                rows[p] = len(table["iter"])
+            except ValueError as exc:  # not a trace, or cut short by a copy
                 # numpy appends advice on its own API after the first clause
                 print(f"skipped {p}: {str(exc).split(';')[0]}", file=sys.stderr)
                 status = 1

@@ -146,8 +146,6 @@ class GaussianProcess:
         Independent of the observation values; 0 for an empty state.
         """
         t = self.num_observations
-        if t == 0:
-            return 0.0
         # det(K + s^2 I) / s^(2t) = det(I + K / s^2)
         logdet = 2.0 * float(np.sum(np.log(np.diag(self._L))))
         return 0.5 * (logdet - 2.0 * t * math.log(self.noise_sigma))

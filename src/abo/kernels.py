@@ -56,10 +56,6 @@ class KernelSpec:
     def with_lengthscales(self, lengthscales) -> "KernelSpec":
         return replace(self, lengthscales=np.asarray(lengthscales, dtype=float))
 
-    def scaled(self, factor: float) -> "KernelSpec":
-        """Shrink all lengthscales by a common factor >= 1."""
-        return self.with_lengthscales(self.lengthscales / factor)
-
 
 def _check_points(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -58,24 +58,6 @@ class ObjectiveSpec:
             "f_min": self.f_min,
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "ObjectiveSpec":
-        k = data["kernel"]
-        spec = KernelSpec(
-            lengthscales=np.asarray(k["lengthscales"]),
-            family=k["family"],
-            nu=k.get("nu"),
-        )
-        return ObjectiveSpec(
-            kernel=spec,
-            centers=np.asarray(data["centers"], dtype=float),
-            weights=np.asarray(data["weights"], dtype=float),
-            true_norm=float(data["true_norm"]),
-            f_max=float(data["f_max"]),
-            x_star=np.asarray(data["x_star"], dtype=float),
-            f_min=float(data["f_min"]),
-        )
-
 
 def evaluate_objective(spec: ObjectiveSpec, x):
     """Noiseless f(x) = sum_i w_i k(x, c_i); accepts (d,) or (n, d)."""

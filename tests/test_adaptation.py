@@ -218,7 +218,8 @@ def sigma_under(gp, x_next):
 
     def sigma_at(c):
         seen.append(c)
-        _, var = gp.set_kernel(gp.kernel.scaled(c)).posterior_mean_var(x_next)
+        shrunk = gp.kernel.with_lengthscales(gp.kernel.lengthscales / c)
+        _, var = gp.set_kernel(shrunk).posterior_mean_var(x_next)
         return math.sqrt(var)
 
     return sigma_at, seen

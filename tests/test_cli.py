@@ -245,25 +245,23 @@ class TestRunExperiment:
         assert not run_experiment(config, parallel=2)["failures"]
         assert dict(os.environ) == before
 
-    def test_seed_offset_env(self, tmp_path, monkeypatch):
-        config = parse_config("seeds = 0\niterations = 3\n[algorithm.a]\nvariant = fixed_gp_ucb\n")
-        config.output_dir = str(tmp_path / "base")
-        run_experiment(config)
-        monkeypatch.setenv("ABO_SEED_OFFSET", "1")
-        config.output_dir = str(tmp_path / "offset")
-        run_experiment(config)
-        monkeypatch.delenv("ABO_SEED_OFFSET")
-        a = open(tmp_path / "base" / "a_seed0.csv", "rb").read()
-        b = open(tmp_path / "offset" / "a_seed0.csv", "rb").read()
-        assert a != b
-
-    def test_malformed_seed_offset_fails_before_any_run(self, tmp_path, monkeypatch):
+    def test_outputs_depend_on_config_alone(self, tmp_path, monkeypatch):
+        # earlier releases shifted every seed by this variable
+        monkeypatch.delenv("ABO_SEED_OFFSET", raising=False)
         config = parse_config(SMALL_CONFIG)
-        config.output_dir = str(tmp_path / "out")
-        monkeypatch.setenv("ABO_SEED_OFFSET", "abc")
-        with pytest.raises(ConfigError, match="ABO_SEED_OFFSET must be an integer, got 'abc'"):
-            run_experiment(config)
-        assert not os.path.exists(config.output_dir)
+        blobs = []
+        for value in ("unset", "3", "abc"):
+            if value != "unset":
+                monkeypatch.setenv("ABO_SEED_OFFSET", value)
+            out = config.output_dir = str(tmp_path / value)
+            assert not run_experiment(config)["failures"]
+            blobs.append({n: open(os.path.join(out, n), "rb").read() for n in os.listdir(out)})
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_algorithm_names_must_not_repeat(self):
+        algos = [AlgorithmConfig(name="a"), AlgorithmConfig(name="a", kappa=0.2)]
+        with pytest.raises(ConfigError, match="algorithm names must not repeat"):
+            ExperimentConfig(algorithms=algos)
 
 
 class TestCommandLine:
@@ -284,6 +282,8 @@ class TestCommandLine:
             ("theta0", "[algorithm.a]\ntheta0 = 0.5, 0.5"),
             ("init_points", "init_points = -1"),
             ("seeds", "seeds = 0, 0"),
+            ("name", "[algorithm.../escaped]\nvariant = fixed_gp_ucb"),
+            ("name", "[algorithm.]\nvariant = fixed_gp_ucb"),
         ],
     )
     def test_run_rejects_bad_value_before_any_run(self, tmp_path, capsys, key, lines):
@@ -374,6 +374,25 @@ class TestCommandLine:
         assert captured.err.splitlines() == [f"skipped {cut}: no header line"]
         assert "fixed: 1 seeds" in captured.out
 
+    @pytest.mark.parametrize(
+        "header, missing",
+        [("a,b", "iter"), ("iter,a", "simple_regret"),
+         ("iter,simple_regret", "cumulative_regret")],
+    )
+    def test_summarize_skips_file_that_is_not_a_trace(
+        self, tmp_path, capsys, header, missing
+    ):
+        out = str(tmp_path / "out")
+        main(["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", out])
+        other = os.path.join(out, "foo_seed0.csv")
+        open(other, "w").write(f"{header}\n1,2\n")
+        capsys.readouterr()
+        assert main(["summarize", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"skipped {other}: no {missing!r} column"]
+        assert "fixed: 2 seeds" in captured.out
+        assert not os.path.exists(os.path.join(out, "foo_summary.csv"))
+
     def test_summarize_skips_algorithm_without_rows(self, tmp_path, capsys):
         for seed in (0, 1):
             emit_trace(RunTrace(dim=1), str(tmp_path / f"a_seed{seed}.csv"))
@@ -394,15 +413,6 @@ class TestCommandLine:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: cannot write {summary}: ")
         assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
-
-    def test_run_reports_malformed_seed_offset(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ABO_SEED_OFFSET", "abc")
-        good = write_config(tmp_path, SMALL_CONFIG)
-        assert main(["run", "--config", good, "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.splitlines() == [
-            "config error: ABO_SEED_OFFSET must be an integer, got 'abc'"
-        ]
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(

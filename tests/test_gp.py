@@ -165,7 +165,7 @@ class TestSetKernel:
         assert gp.set_kernel(gp.kernel) is gp
         assert gp.set_kernel(kernel.with_lengthscales(np.ones(1))) is gp
         changes = (
-            kernel.scaled(1.5),
+            kernel.with_lengthscales(kernel.lengthscales / 1.5),
             KernelSpec(np.ones(1), family="matern", nu=1.5),
             KernelSpec(np.ones(1)),
         )
@@ -175,8 +175,9 @@ class TestSetKernel:
             assert swapped.log_marginal_likelihood() != gp.log_marginal_likelihood()
 
     def test_shrinking_lengthscales_raises_variance(self):
-        gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1, [[0.0]], [1.0])
-        shrunk = gp.set_kernel(gp.kernel.scaled(2.0))
+        kernel = KernelSpec(np.ones(1))
+        gp = GaussianProcess(kernel, 0.1, [[0.0]], [1.0])
+        shrunk = gp.set_kernel(kernel.with_lengthscales(kernel.lengthscales / 2.0))
         for x in (0.2, 0.5, 1.0):
             _, v_wide = gp.posterior_mean_var([x])
             _, v_narrow = shrunk.posterior_mean_var([x])

