@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -136,6 +137,17 @@ class RunTrace:
         return np.asarray(self.iters) >= 1
 
 
+# A run scans with one (d, seed) throughout, so a few entries serve every
+# caller; each holds (1024 d + 256) d floats.
+@functools.lru_cache(maxsize=4)
+def _scan_candidates(d: int, seed: int) -> np.ndarray:
+    """Read-only scan set: 1024*d Sobol points, then the seeded uniform extras."""
+    extra = make_rng(seed, tag="ucb-candidates").uniform(size=(_RANDOM_EXTRA, d))
+    cand = np.vstack([sobol_points(d, _SCAN_PER_DIM * d), extra])
+    cand.setflags(write=False)
+    return cand
+
+
 def maximize_ucb(
     state: GaussianProcess, beta_sqrt: float, *, seed: int = 0
 ) -> np.ndarray:
@@ -153,9 +165,7 @@ def maximize_ucb(
         return mean + beta_sqrt * np.sqrt(var)
 
     d = state.kernel.dim
-    cand = sobol_points(d, _SCAN_PER_DIM * d)
-    extra = make_rng(seed, tag="ucb-candidates").uniform(size=(_RANDOM_EXTRA, d))
-    cand = np.vstack([cand, extra])
+    cand = _scan_candidates(d, seed)
     vals = acq(cand)
     best_idx = int(np.argmax(vals))  # first max wins ties
     x = cand[best_idx].copy()

@@ -69,15 +69,17 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             raise ConfigError(f"algorithm names must not repeat, got {names}")
         for algo in self.algorithms:
+            section = f"algorithm.{algo.name}"
             # the name is the stem of the algorithm's files in output_dir
             if not algo.name or os.path.basename(algo.name) != algo.name:
                 raise ConfigError(
-                    f"algorithm name {algo.name!r} must be a nonempty file-name stem"
+                    f"algorithm name {algo.name!r} must be a nonempty file-name stem",
+                    section,
                 )
             try:
                 algo.theta0_vector(PROBLEMS[self.problem])
             except ValueError as exc:
-                raise ConfigError(f"algorithm {algo.name!r}: {exc}") from exc
+                raise ConfigError(f"algorithm {algo.name!r}: {exc}", section) from exc
 
 
 # Fields that are not keys of their section: the algorithm sections
@@ -123,6 +125,7 @@ def _build(section: str, cls, items: dict, **extra):
     try:
         return cls(**kwargs, **extra)
     except ValueError as exc:
+        section = getattr(exc, "section", None) or section
         raise ConfigError(f"[{section}]: {exc}") from exc
 
 

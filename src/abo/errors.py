@@ -26,4 +26,12 @@ class SingularModelError(AboError, ArithmeticError):
 
 
 class ConfigError(AboError, ValueError):
-    """An experiment configuration is malformed or out of range."""
+    """An experiment configuration is malformed or out of range.
+
+    ``section`` names the config section at fault where the raiser knows it
+    better than the caller that reads the file.
+    """
+
+    def __init__(self, message: str, section: str | None = None):
+        super().__init__(message)
+        self.section = section

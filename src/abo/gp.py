@@ -3,15 +3,23 @@
 States are immutable: adding data or swapping in another kernel returns a new
 object with a freshly built Cholesky factorization L L^T = K + sigma^2 I.
 
+Factorization calls LAPACK's dpotrf and dtrtrs directly: the ``scipy.linalg``
+wrappers validate and copy their input on every call, and MAP makes thousands
+of these calls. A non-finite matrix or evidence raises ``ValueError``.
+
 ``posterior`` is the acquisition's inner loop, so it works by matrix
 products: the query-data distances come from one GEMM
 (``kernels.sq_distance_by_product``), and the variance from L^-1, which a
-state computes on its first query and keeps. Its results differ from the
-difference form's in the last bits. The Gram matrix, the MAP objective and the
-objectives' values keep the difference form (``kernels.sq_distance``), whose
-bits the Cholesky factor, the MAP search, ``f_max`` and the golden traces
-depend on. That form also makes every Gram matrix exactly symmetric with a
-unit diagonal, so nothing symmetrizes it before factorization.
+state computes on its first query and keeps. It takes the queries in blocks of
+``_BLOCK_ROWS`` (512) rows or a multiple, whose (rows, t) temporaries are small
+enough to reuse memory instead of faulting in fresh pages, and a row's bits
+equal the unblocked form's.
+Its results differ from the difference form's in the last bits. The Gram
+matrix, the MAP objective and the objectives' values keep the difference form
+(``kernels.sq_distance``), whose bits the Cholesky factor, the MAP search,
+``f_max`` and the golden traces depend on. That form also makes every Gram
+matrix exactly symmetric with a unit diagonal, so nothing symmetrizes it
+before factorization.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from . import kernels
 from .errors import DimensionMismatchError, InvalidObservationError, SingularModelError
@@ -27,17 +35,31 @@ from .kernels import KernelSpec
 
 _BASE_JITTER = 1e-10
 _MAX_JITTER = 1e-6
+# Query rows per posterior block. At t = 100 a 4352-row scan's fresh (n, t)
+# arrays take 3.5 MB each, and their page faults cost more than the
+# arithmetic; a 512-row block's 400 KB arrays reuse memory the allocator holds.
+_BLOCK_ROWS = 512
+# OpenBLAS computes a GEMM of at most 100^3 multiply-adds with a small-matrix
+# kernel, which rounds differently from its general one. A block's L^-1
+# product is kept above this size, so a row the whole batch would send through
+# the general kernel goes through it in its block too.
+_SMALL_GEMM = 100**3
 
 
 def chol_with_jitter(A: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of A, adding escalating jitter only on failure."""
+    """Lower Cholesky factor of A's lower triangle, adding escalating jitter
+    only on failure. A failure on a NaN or inf raises ``ValueError``; one that
+    LAPACK does not flag passes into the factor, whose log determinant
+    ``factorize`` checks."""
     jitter = 0.0
     eye = np.eye(A.shape[0])
     while jitter <= _MAX_JITTER:
-        try:
-            return cholesky(A + jitter * eye, lower=True)
-        except np.linalg.LinAlgError:
-            jitter = _BASE_JITTER if jitter == 0.0 else jitter * 10.0
+        L, info = dpotrf(A + jitter * eye, lower=1, clean=1)
+        if info == 0:
+            return L
+        if not np.all(np.isfinite(A)):
+            raise ValueError("matrix to factorize holds a NaN or inf")
+        jitter = _BASE_JITTER if jitter == 0.0 else jitter * 10.0
     raise SingularModelError(
         f"Cholesky failed for {A.shape[0]}x{A.shape[0]} matrix even with "
         f"jitter {_MAX_JITTER}"
@@ -50,10 +72,17 @@ def factorize(K: np.ndarray, noise_sigma: float, y: np.ndarray):
     if t == 0:
         return np.zeros((0, 0)), np.zeros(0), 0.0
     L = chol_with_jitter(K + noise_sigma**2 * np.eye(t))
-    alpha = solve_triangular(L.T, solve_triangular(L, y, lower=True), lower=False)
+    # two triangular solves, the second with trans=1: dpotrs would take one
+    # call but rounds alpha differently, and the golden traces record these bits
+    z, _ = dtrtrs(L, y, lower=1)
+    alpha, _ = dtrtrs(L, z, lower=1, trans=1)
     fit = -0.5 * float(y @ alpha)
     logdet = float(np.sum(np.log(np.diag(L))))
-    return L, alpha, fit - logdet - 0.5 * t * math.log(2.0 * math.pi)
+    lml = fit - logdet - 0.5 * t * math.log(2.0 * math.pi)
+    # a NaN or inf in K's lower triangle or in y reaches log det or the fit
+    if not math.isfinite(lml):
+        raise ValueError("non-finite evidence: K or y holds a NaN or inf")
+    return L, alpha, lml
 
 
 class GaussianProcess:
@@ -121,19 +150,27 @@ class GaussianProcess:
     def posterior(self, Xq) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at a batch of query points (n, d)."""
         Xq = kernels._check_points(self.kernel, Xq)
-        n = Xq.shape[0]
-        if self.num_observations == 0:
+        n, t = Xq.shape[0], self.num_observations
+        if t == 0:
             return np.zeros(n), np.ones(n)
-        sq = kernels.sq_distance_by_product(Xq, self.X, self.kernel.lengthscales)
-        Kx = kernels.profile(self.kernel, sq)  # (n, t)
-        mean = Kx @ self._alpha
         if self._L_inv is None:
-            self._L_inv = solve_triangular(self._L, np.eye(self.num_observations), lower=True)
-        # row i is L^-1 k(X, x_i); written over sq, which is no longer needed,
-        # to spare one fresh (n, t) array
-        V = np.matmul(Kx, self._L_inv.T, out=sq)
-        var = 1.0 - np.einsum("nt,nt->n", V, V)
-        return mean, np.clip(var, 0.0, 1.0)
+            self._L_inv, _ = dtrtrs(self._L, np.eye(t), lower=1)
+        # a multiple of _BLOCK_ROWS with rows * t^2 > _SMALL_GEMM; the last
+        # block also takes the remainder, so no block is shorter
+        block = _BLOCK_ROWS * (_SMALL_GEMM // (_BLOCK_ROWS * t * t) + 1)
+        ends = [*range(block, n - block + 1, block), n]
+        mean = np.empty(n)
+        var = np.empty(n)
+        for start, end in zip([0, *ends], ends):
+            rows = slice(start, end)
+            sq = kernels.sq_distance_by_product(Xq[rows], self.X, self.kernel.lengthscales)
+            Kx = kernels.profile(self.kernel, sq)  # (rows, t)
+            mean[rows] = Kx @ self._alpha
+            # row i is L^-1 k(X, x_i); written over sq, which is no longer
+            # needed, to spare one fresh (rows, t) array
+            V = np.matmul(Kx, self._L_inv.T, out=sq)
+            var[rows] = 1.0 - np.einsum("nt,nt->n", V, V)
+        return mean, np.clip(var, 0.0, 1.0, out=var)
 
     def posterior_mean_var(self, x) -> tuple[float, float]:
         """Posterior mean and variance at a single query point."""

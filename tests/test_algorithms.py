@@ -7,7 +7,8 @@ from abo.cli import make_objective
 from abo.confidence import ConfidenceParams, beta_sqrt
 from abo.gp import GaussianProcess
 from abo.kernels import KernelSpec
-from abo.objectives import bump_linear_preset, make_rkhs_function
+from abo.objectives import bump_linear_preset, make_rkhs_function, sobol_points
+from abo.rng import make_rng
 
 
 def small_objective(seed=0):
@@ -87,6 +88,14 @@ class TestMaximizeUcb:
         gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1)
         with pytest.raises(ValueError):
             maximize_ucb(gp, 0.0)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_scan_candidates_built_once_read_only(self, d):
+        cand = algorithms._scan_candidates(d, 3)
+        assert algorithms._scan_candidates(d, 3) is cand
+        assert not cand.flags.writeable
+        extra = make_rng(3, tag="ucb-candidates").uniform(size=(256, d))
+        np.testing.assert_array_equal(cand, np.vstack([sobol_points(d, 1024 * d), extra]))
 
 
 class TestRunTraces:

@@ -295,6 +295,23 @@ class TestCommandLine:
         assert len(err) == 1 and err[0].startswith("config error: ") and key in err[0]
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "section,lines",
+        [
+            ("algorithm.../escaped", "variant = fixed_gp_ucb"),
+            ("algorithm.", "variant = fixed_gp_ucb"),
+            ("algorithm.wide", "theta0 = 0.5, 0.5"),
+        ],
+    )
+    def test_run_names_section_of_bad_algorithm(self, tmp_path, capsys, section, lines):
+        # checked in ExperimentConfig, which alone knows the problem's dimension
+        text = f"[experiment]\nproblem = example_rkhs\nseeds = 0\niterations = 2\n[{section}]\n{lines}\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: [{section}]: ")
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_list_presets(self, capsys):
         assert main(["list-presets"]) == 0
         out = capsys.readouterr().out

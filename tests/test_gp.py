@@ -1,15 +1,26 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 
 from abo import gp as gp_module
-from abo.errors import DimensionMismatchError, InvalidObservationError
-from abo.gp import GaussianProcess
-from abo.kernels import KernelSpec, cross_gram, gram_matrix
+from abo.errors import DimensionMismatchError, InvalidObservationError, SingularModelError
+from abo.gp import GaussianProcess, chol_with_jitter, factorize
+from abo.kernels import KernelSpec, cross_gram, gram_matrix, profile, sq_distance_by_product
+
+KERNELS = [("se", None), ("matern", 1.5), ("matern", 2.5)]
 
 
 def make_gp(noise=0.1, d=1):
     return GaussianProcess(KernelSpec(np.ones(d)), noise)
+
+
+def unblocked_posterior(gp, Xq):
+    """The posterior's steps in one pass over every query row."""
+    sq = sq_distance_by_product(Xq, gp.X, gp.kernel.lengthscales)
+    Kx = profile(gp.kernel, sq)
+    mean = Kx @ gp._alpha
+    V = np.matmul(Kx, gp._L_inv.T, out=sq)
+    return mean, np.clip(1.0 - np.einsum("nt,nt->n", V, V), 0.0, 1.0)
 
 
 class TestPosterior:
@@ -86,16 +97,33 @@ class TestPosterior:
             KernelSpec(np.full(2, 0.3)), 0.1, rng.uniform(size=(10, 2)), rng.standard_normal(10)
         )
         calls = []
+        dtrtrs = gp_module.dtrtrs
 
         def counting(*args, **kwargs):
             calls.append(args[1].shape)
-            return solve_triangular(*args, **kwargs)
+            return dtrtrs(*args, **kwargs)
 
-        monkeypatch.setattr(gp_module, "solve_triangular", counting)
+        monkeypatch.setattr(gp_module, "dtrtrs", counting)
         for _ in range(3):
             gp.posterior(rng.uniform(size=(5, 2)))
             gp.posterior_mean_var([0.2, 0.4])
         assert calls == [(10, 10)]
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1280, 4352])
+    @pytest.mark.parametrize("family,nu", KERNELS)
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_blocks_keep_unblocked_bits(self, d, family, nu, n):
+        # at t = 25 and 43, 512-row blocks would fall to OpenBLAS's
+        # small-matrix GEMM, which rounds differently from the whole batch's
+        rng = np.random.default_rng(n + d)
+        Xq = rng.uniform(size=(n, d))
+        kernel = KernelSpec(np.full(d, 0.3), family, nu)
+        for t in (5, 25, 43, 60, 100):
+            gp = GaussianProcess(kernel, 0.1, rng.uniform(size=(t, d)), rng.standard_normal(t))
+            mean, var = gp.posterior(Xq)
+            ref_mean, ref_var = unblocked_posterior(gp, Xq)
+            assert np.array_equal(mean, ref_mean) and np.array_equal(var, ref_var)
+            assert np.all((var >= 0.0) & (var <= 1.0))
 
     def test_variance_clipped_to_unit_interval(self):
         rng = np.random.default_rng(1)
@@ -105,6 +133,47 @@ class TestPosterior:
         )
         _, var = gp.posterior(rng.uniform(size=(50, 2)))
         assert np.all(var >= 0.0) and np.all(var <= 1.0)
+
+
+class TestFactorization:
+    @pytest.mark.parametrize("t", [1, 2, 30, 100])
+    def test_bits_match_scipy_wrappers(self, t):
+        rng = np.random.default_rng(t)
+        K = gram_matrix(KernelSpec(np.full(2, 0.3)), rng.uniform(size=(t, 2)))
+        y = rng.standard_normal(t)
+        L, alpha, _ = factorize(K, 0.1, y)
+        ref_L = cholesky(K + 0.01 * np.eye(t), lower=True)
+        z = solve_triangular(ref_L, y, lower=True)
+        ref_alpha = solve_triangular(ref_L.T, z, lower=False)
+        assert np.array_equal(L, ref_L) and np.array_equal(alpha, ref_alpha)
+        gp = GaussianProcess(KernelSpec(np.full(2, 0.3)), 0.1, rng.uniform(size=(t, 2)), y)
+        gp.posterior_mean_var([0.5, 0.5])
+        assert np.array_equal(gp._L_inv, solve_triangular(gp._L, np.eye(t), lower=True))
+
+    def test_jitter_escalates_on_singular_matrix(self):
+        A = np.ones((3, 3))
+        L = chol_with_jitter(A)
+        assert np.all(np.triu(L, 1) == 0.0)
+        # the factor is of A + 1e-10 I, the first jitter, not of A
+        np.testing.assert_allclose(L @ L.T, A + 1e-10 * np.eye(3), rtol=0, atol=1e-15)
+        assert np.abs(L @ L.T - A).max() > 5e-11
+
+    def test_indefinite_matrix_raises(self):
+        with pytest.raises(SingularModelError):
+            chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (3, 3), (5, 5), (3, 1), (5, 0), (5, 4), "y"])
+    def test_non_finite_input_raises_value_error(self, where, value):
+        rng = np.random.default_rng(9)
+        K = gram_matrix(KernelSpec(np.full(2, 0.3)), rng.uniform(size=(6, 2)))
+        y = rng.standard_normal(6)
+        if where == "y":
+            y[2] = value
+        else:
+            K[where] = K[where[::-1]] = value
+        with pytest.raises(ValueError):
+            factorize(K, 0.1, y)
 
 
 class TestUpdates:

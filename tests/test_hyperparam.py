@@ -89,10 +89,10 @@ class TestLogPosterior:
         X, y = sample_from(0.3, 5, seed=0)
         state = GaussianProcess(KernelSpec(np.ones(1)), 0.05, X, y)
 
-        def failing_cholesky(A, lower):
-            raise np.linalg.LinAlgError("not positive definite")
+        def failing_dpotrf(A, **kwargs):
+            return A, 1  # LAPACK's info > 0: not positive definite
 
-        monkeypatch.setattr(gp_module, "cholesky", failing_cholesky)
+        monkeypatch.setattr(gp_module, "dpotrf", failing_dpotrf)
         theta = np.array([0.2])
         with pytest.raises(SingularModelError):
             gp_path_log_posterior(state, LengthscalePrior(), theta)
@@ -102,13 +102,13 @@ class TestLogPosterior:
         X, y = sample_from(0.3, 25, seed=4)
         state = GaussianProcess(KernelSpec(np.ones(1)), 0.05, X, y)
         calls = []
-        cholesky = gp_module.cholesky
+        dpotrf = gp_module.dpotrf
 
-        def counting_cholesky(A, lower):
+        def counting_dpotrf(A, **kwargs):
             calls.append(A.shape)
-            return cholesky(A, lower=lower)
+            return dpotrf(A, **kwargs)
 
-        monkeypatch.setattr(gp_module, "cholesky", counting_cholesky)
+        monkeypatch.setattr(gp_module, "dpotrf", counting_dpotrf)
         map_estimate(state, LengthscalePrior(), init=np.ones(1))
         # 5 starts x 3 sweeps x 32 golden-section probes repeat one search
         assert 0 < len(calls) <= 40
