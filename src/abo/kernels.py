@@ -82,12 +82,25 @@ def sq_distance_by_product(X: np.ndarray, X2: np.ndarray, lengthscales) -> np.nd
     not change, but the norms shrink, and with them the cancellation error.
     Its rounding differs from ``sq_distance``'s by about d * eps / l^2.
     """
-    A = (X - 0.5) / lengthscales
+    return sq_distance_by_terms(X, product_terms(X2, lengthscales), lengthscales)
+
+
+def product_terms(X2: np.ndarray, lengthscales) -> tuple[np.ndarray, np.ndarray]:
+    """X2's side of ``sq_distance_by_product``: -2 b and |b|^2 for the
+    centred, scaled rows b of X2, computed once for many queries."""
     B = (X2 - 0.5) / lengthscales
+    return -2.0 * B, np.einsum("md,md->m", B, B)
+
+
+def sq_distance_by_terms(X: np.ndarray, terms, lengthscales) -> np.ndarray:
+    """``sq_distance_by_product`` of X against the set whose
+    ``product_terms`` are given; the same bits."""
+    neg2B, B_sq = terms
+    A = (X - 0.5) / lengthscales
     # accumulated in place: each fresh (n, m) temporary costs page faults
-    sq = A @ (-2.0 * B).T
+    sq = A @ neg2B.T
     sq += np.einsum("nd,nd->n", A, A)[:, None]
-    sq += np.einsum("md,md->m", B, B)
+    sq += B_sq
     return np.maximum(sq, 0.0, out=sq)
 
 

@@ -183,7 +183,7 @@ def make_gp_sample_function(
         # scrambled so the grid does not alias the acquisition scan lattice
         grid = sobol_points(d, grid_size, seed=int(rng.integers(2**32)))
     K = kernels.gram_matrix(kernel, grid)
-    f_grid = chol_with_jitter(K) @ rng.standard_normal(grid_size)
+    f_grid = chol_with_jitter(K)[0] @ rng.standard_normal(grid_size)
     # interpolation weights solve K w = f_grid; projecting out near-null
     # Gram directions keeps the weights moderate while discarding only a
     # numerically negligible component of the sample

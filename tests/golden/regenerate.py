@@ -1,7 +1,8 @@
 """Regenerate the golden trace CSVs that ``tests/test_golden.py`` compares.
 
 Each case is one short run (15 iterations, seed 0) written with
-``cli.emit_trace``. Regenerate only for a declared trace change:
+``cli.emit_trace``, after one ``#`` line naming the Python, NumPy and SciPy
+versions that made it. Regenerate only for a declared trace change:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 """
@@ -9,12 +10,17 @@ Each case is one short run (15 iterations, seed 0) written with
 from __future__ import annotations
 
 import os
+import platform
 import sys
+
+import numpy
+import scipy
 
 from abo import algorithms, cli
 from abo.algorithms import AlgorithmConfig
 
 GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
+_MADE_WITH = "# made with "
 
 # name -> (problem, algorithm settings); the small constant beta makes the
 # adaptive schedule expand (g > 1) within the short runs
@@ -59,8 +65,31 @@ def golden_path(name: str) -> str:
     return os.path.join(GOLDEN_DIR, f"{name}.csv")
 
 
+def versions() -> str:
+    return (
+        f"python {platform.python_version()}, numpy {numpy.__version__}, "
+        f"scipy {scipy.__version__}"
+    )
+
+
+def write_golden(name: str, path: str) -> None:
+    """The case's trace after a ``# made with <versions>`` line."""
+    write_trace(name, path)
+    with open(path) as fh:
+        trace = fh.read()
+    with open(path, "w") as fh:
+        fh.write(f"{_MADE_WITH}{versions()}\n{trace}")
+
+
+def read_golden(name: str) -> tuple[str, bytes]:
+    """The versions a golden was made with, and its trace bytes."""
+    with open(golden_path(name), "rb") as fh:
+        made_with, trace = fh.read().split(b"\n", 1)
+    return made_with.decode().removeprefix(_MADE_WITH), trace
+
+
 if __name__ == "__main__":
     out_dir = sys.argv[1] if len(sys.argv) > 1 else GOLDEN_DIR
     for name in CASES:
-        write_trace(name, os.path.join(out_dir, f"{name}.csv"))
+        write_golden(name, os.path.join(out_dir, f"{name}.csv"))
         print(name)

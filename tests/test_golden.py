@@ -1,7 +1,9 @@
 """Short traces must match the checked-in goldens byte for byte.
 
 A change that alters a trace on purpose regenerates the goldens with
-``tests/golden/regenerate.py`` and says why.
+``tests/golden/regenerate.py`` and says why. Each golden's first line names
+the library versions that made it; the comparison skips it, and a failure
+names those versions and the running ones.
 """
 
 import importlib.util
@@ -53,8 +55,10 @@ def test_first_difference_names_row_and_column():
 def test_trace_matches_golden(name, tmp_path):
     path = tmp_path / f"{name}.csv"
     golden.write_trace(name, str(path))
-    with open(golden.golden_path(name), "rb") as fh:
-        expected = fh.read()
+    made_with, expected = golden.read_golden(name)
     got = path.read_bytes()
     if got != expected:
-        pytest.fail(f"{name}.csv differs at {first_difference(got, expected)}")
+        pytest.fail(
+            f"{name}.csv differs at {first_difference(got, expected)}; the golden "
+            f"was made with {made_with}, this run has {golden.versions()}"
+        )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 
+from abo import algorithms, cli
 from abo import gp as gp_module
 from abo.errors import DimensionMismatchError, InvalidObservationError, SingularModelError
 from abo.gp import GaussianProcess, chol_with_jitter, factorize
@@ -12,6 +13,31 @@ KERNELS = [("se", None), ("matern", 1.5), ("matern", 2.5)]
 
 def make_gp(noise=0.1, d=1):
     return GaussianProcess(KernelSpec(np.ones(d)), noise)
+
+
+def read_only(X):
+    X = np.array(X, dtype=float)
+    X.setflags(write=False)
+    return X
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """(queries, retain) of every blocked posterior pass."""
+    calls = []
+    blocks = GaussianProcess._posterior_blocks
+
+    def counting(self, Xq, retain):
+        calls.append((Xq, retain))
+        return blocks(self, Xq, retain)
+
+    monkeypatch.setattr(GaussianProcess, "_posterior_blocks", counting)
+    return calls
+
+
+def passes_over(calls, cand):
+    """retain of each blocked pass over cand itself, in order."""
+    return [retain for Xq, retain in calls if Xq is cand]
 
 
 def unblocked_posterior(gp, Xq):
@@ -135,24 +161,117 @@ class TestPosterior:
         assert np.all(var >= 0.0) and np.all(var <= 1.0)
 
 
+class TestCarriedScan:
+    """A read-only candidate set scanned again after add_observation under
+    the same kernel is extended by one row of V, not rescanned."""
+
+    @staticmethod
+    def five_points(rng):
+        X = rng.uniform(size=(5, 2))
+        return GaussianProcess(KernelSpec(np.full(2, 0.4)), 0.1, X, rng.standard_normal(5))
+
+    @staticmethod
+    def assert_matches_rescan(gp, cand):
+        mean, var = gp.posterior(cand)
+        ref_mean, ref_var = gp.posterior(cand.copy())
+        np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(var, ref_var, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("family,nu", KERNELS)
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_extension_matches_rescan(self, d, family, nu, block_calls):
+        rng = np.random.default_rng(d)
+        cand = read_only(rng.uniform(size=(700, d)))
+        gp = GaussianProcess(KernelSpec(np.full(d, 0.3), family, nu), 0.1)
+        for _ in range(120):
+            gp = gp.add_observation(rng.uniform(size=d), rng.standard_normal())
+            self.assert_matches_rescan(gp, cand)
+        # the first two scans are full, the second one retained
+        assert passes_over(block_calls, cand) == [False, True]
+
+    def test_two_children_and_a_grandchild(self, block_calls):
+        rng = np.random.default_rng(11)
+        cand = read_only(rng.uniform(size=(300, 2)))
+        gp = self.five_points(rng)
+        gp.posterior(cand)
+        parent = gp.add_observation([0.5, 0.5], 0.3)
+        parent.posterior(cand)  # full and retained
+        first = parent.add_observation([0.1, 0.9], -0.2)
+        second = parent.add_observation([0.7, 0.2], 1.1)
+        self.assert_matches_rescan(first, cand)  # takes the parent's arrays
+        self.assert_matches_rescan(second, cand)  # full path, retained
+        self.assert_matches_rescan(first.add_observation([0.3, 0.3], 0.5), cand)
+        assert passes_over(block_calls, cand) == [False, True, True]
+
+    def test_new_lengthscales_and_writable_sets_rescan(self, block_calls):
+        rng = np.random.default_rng(12)
+        cand = read_only(rng.uniform(size=(300, 2)))
+        gp = self.five_points(rng)
+        for _ in range(3):
+            gp.posterior(cand)
+            gp = gp.add_observation(rng.uniform(size=2), rng.standard_normal())
+        swapped = gp.set_kernel(gp.kernel.with_lengthscales([0.2, 0.2]))
+        swapped.posterior(cand)
+        writable = cand.copy()
+        gp.posterior(writable)
+        assert passes_over(block_calls, cand) == [False, True, False]
+        assert passes_over(block_calls, writable) == [False]
+
+    def test_returned_arrays_are_copies(self):
+        rng = np.random.default_rng(13)
+        cand = read_only(rng.uniform(size=(300, 2)))
+        gp = self.five_points(rng)
+        for _ in range(5):
+            mean, var = gp.posterior(cand)
+            mean[:] = np.nan
+            var[:] = -1.0
+            gp = gp.add_observation(rng.uniform(size=2), rng.standard_normal())
+        self.assert_matches_rescan(gp, cand)
+
+    def test_jittered_child_rescans(self, block_calls):
+        # k between the corners underflows to 0 and sigma^2 is lost next to
+        # 1, so the repeated corner leaves a zero pivot
+        gp = GaussianProcess(KernelSpec(np.full(2, 0.05)), 1e-9, [[0.0, 0.0]], [0.1])
+        cand = read_only(np.random.default_rng(14).uniform(size=(300, 2)))
+        gp.posterior(cand)
+        gp = gp.add_observation([1.0, 1.0], -0.4)
+        gp.posterior(cand)  # retained, unjittered
+        child = gp.add_observation([1.0, 1.0], -0.4)
+        assert gp._jitter == 0.0 and child._jitter > 0.0
+        mean, var = child.posterior(cand)
+        ref_mean, ref_var = child.posterior(cand.copy())
+        assert np.array_equal(mean, ref_mean) and np.array_equal(var, ref_var)
+        assert passes_over(block_calls, cand) == [False, True, True]
+
+    def test_fixed_kernel_run_scans_fully_at_most_twice(self, block_calls):
+        objective = cli.make_objective("synthetic_4d", 0)
+        config = algorithms.AlgorithmConfig(variant="fixed_gp_ucb", iterations=12)
+        algorithms.run(objective, config)
+        cand = algorithms._scan_candidates(4, config.seed)
+        assert passes_over(block_calls, cand) == [False, True]
+
+
 class TestFactorization:
     @pytest.mark.parametrize("t", [1, 2, 30, 100])
     def test_bits_match_scipy_wrappers(self, t):
         rng = np.random.default_rng(t)
         K = gram_matrix(KernelSpec(np.full(2, 0.3)), rng.uniform(size=(t, 2)))
         y = rng.standard_normal(t)
-        L, alpha, _ = factorize(K, 0.1, y)
+        L, z, alpha, jitter, _ = factorize(K, 0.1, y)
+        assert jitter == 0.0
         ref_L = cholesky(K + 0.01 * np.eye(t), lower=True)
-        z = solve_triangular(ref_L, y, lower=True)
-        ref_alpha = solve_triangular(ref_L.T, z, lower=False)
-        assert np.array_equal(L, ref_L) and np.array_equal(alpha, ref_alpha)
+        ref_z = solve_triangular(ref_L, y, lower=True)
+        ref_alpha = solve_triangular(ref_L.T, ref_z, lower=False)
+        assert np.array_equal(L, ref_L) and np.array_equal(z, ref_z)
+        assert np.array_equal(alpha, ref_alpha)
         gp = GaussianProcess(KernelSpec(np.full(2, 0.3)), 0.1, rng.uniform(size=(t, 2)), y)
         gp.posterior_mean_var([0.5, 0.5])
         assert np.array_equal(gp._L_inv, solve_triangular(gp._L, np.eye(t), lower=True))
 
     def test_jitter_escalates_on_singular_matrix(self):
         A = np.ones((3, 3))
-        L = chol_with_jitter(A)
+        L, jitter = chol_with_jitter(A)
+        assert jitter == 1e-10
         assert np.all(np.triu(L, 1) == 0.0)
         # the factor is of A + 1e-10 I, the first jitter, not of A
         np.testing.assert_allclose(L @ L.T, A + 1e-10 * np.eye(3), rtol=0, atol=1e-15)
