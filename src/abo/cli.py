@@ -294,7 +294,10 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
     is restored afterwards. Workers import ``abo`` afresh, so it must be
     installed or on ``PYTHONPATH`` (a ``sys.path`` edit does not reach them),
     and a calling script needs an ``if __name__ == "__main__":`` guard.
+    A ``parallel`` below 1 raises ``ConfigError`` before any run.
     """
+    if parallel < 1:
+        raise ConfigError(f"parallel must be >= 1, got {parallel}")
     out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     sizes = {"iterations": config.iterations, "init_points": config.init_points}

@@ -11,10 +11,7 @@ of these calls. A non-finite matrix or evidence raises ``ValueError``.
 products: the query-data distances come from one GEMM
 (``kernels.sq_distance_by_product``), and the variance from L^-1. A state
 computes L^-1 and its data's side of the distance product on its first query
-and keeps them. It takes the queries in blocks of
-``_BLOCK_ROWS`` (512) rows or a multiple, whose (rows, t) temporaries are small
-enough to reuse memory instead of faulting in fresh pages, and a row's bits
-equal the unblocked form's.
+and keeps them.
 
 A query set that is a read-only array owning its data, such as the
 acquisition's scan candidates, is carried across ``add_observation``,
@@ -22,7 +19,7 @@ recognised by identity. A child has its parent's kernel and noise, and, if
 factorized with the same jitter, its factor is the parent's plus one row l.
 So the rows V = L^-1 k(X, cand), the mean and the variance extend by one
 row v = (k(cand, x_t) - l[:t-1] V) / l[t-1] in O(n t), in place of the
-blocked O(n t^2) pass. A state retains V only if its parent scanned the same
+full O(n t^2) pass. A state retains V only if its parent scanned the same
 set, so a kernel that changes every step never pays for it. The retained
 arrays have one owner: the first child to extend them takes them, a second
 child of the same parent rescans, and callers get copies. An extended row
@@ -51,15 +48,6 @@ from .kernels import KernelSpec
 
 _BASE_JITTER = 1e-10
 _MAX_JITTER = 1e-6
-# Query rows per posterior block. At t = 100 a 4352-row scan's fresh (n, t)
-# arrays take 3.5 MB each, and their page faults cost more than the
-# arithmetic; a 512-row block's 400 KB arrays reuse memory the allocator holds.
-_BLOCK_ROWS = 512
-# OpenBLAS computes a GEMM of at most 100^3 multiply-adds with a small-matrix
-# kernel, which rounds differently from its general one. A block's L^-1
-# product is kept above this size, so a row the whole batch would send through
-# the general kernel goes through it in its block too.
-_SMALL_GEMM = 100**3
 
 
 def chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
@@ -191,7 +179,7 @@ class GaussianProcess:
         carried = not Xq.flags.writeable and Xq.flags.owndata
         scan = self._carried_scan(Xq) if carried else None
         if scan is None or scan.V is None:
-            mean, var, _ = self._posterior_blocks(Xq, retain=False)
+            mean, var, _ = self._posterior_pass(Xq)
             return mean, np.clip(var, 0.0, 1.0, out=var)
         # copies: the retained arrays pass on to a child that extends them
         return scan.mean.copy(), np.clip(scan.var, 0.0, 1.0)
@@ -209,8 +197,9 @@ class GaussianProcess:
         elif parent.V is not None and parent.jitter == self._jitter:
             self._scan = self._extend(parent)
         else:
-            mean, var, V = self._posterior_blocks(cand, retain=True)
-            self._scan = _Scan(cand, self._jitter, V, mean, var)
+            mean, var, V = self._posterior_pass(cand)
+            # C-contiguous (t, n), which _extend's resize needs
+            self._scan = _Scan(cand, self._jitter, V.T.copy(), mean, var)
         return self._scan
 
     def _extend(self, parent: _Scan) -> _Scan:
@@ -225,7 +214,7 @@ class GaussianProcess:
         k = kernels.profile(self.kernel, sq)[:, 0]
         l = self._L[t - 1, :t]
         v = (k - l[: t - 1] @ V) / l[t - 1]
-        # resize reallocates; a block this large is remapped, not copied, so
+        # resize reallocates; an array this large is remapped, not copied, so
         # the old and the grown V are not both held (a copy would add V's
         # size to peak memory)
         V.resize((t, n), refcheck=False)
@@ -234,31 +223,19 @@ class GaussianProcess:
         var -= v * v
         return _Scan(parent.cand, self._jitter, V, mean, var)
 
-    def _posterior_blocks(self, Xq: np.ndarray, retain: bool):
-        """Mean, unclipped variance and, if retained, V (t, n), block by block."""
-        n, t = Xq.shape[0], self.num_observations
+    def _posterior_pass(self, Xq: np.ndarray):
+        """Mean, unclipped variance and V (n, t), row i L^-1 k(X, x_i)."""
+        t = self.num_observations
         if self._L_inv is None:
             self._L_inv, _ = dtrtrs(self._L, np.eye(t), lower=1)
             self._terms = kernels.product_terms(self.X, self.kernel.lengthscales)
-        # a multiple of _BLOCK_ROWS with rows * t^2 > _SMALL_GEMM; the last
-        # block also takes the remainder, so no block is shorter
-        block = _BLOCK_ROWS * (_SMALL_GEMM // (_BLOCK_ROWS * t * t) + 1)
-        ends = [*range(block, n - block + 1, block), n]
-        mean = np.empty(n)
-        var = np.empty(n)
-        V_all = np.empty((t, n)) if retain else None
-        for start, end in zip([0, *ends], ends):
-            rows = slice(start, end)
-            sq = kernels.sq_distance_by_terms(Xq[rows], self._terms, self.kernel.lengthscales)
-            Kx = kernels.profile(self.kernel, sq)  # (rows, t)
-            mean[rows] = Kx @ self._alpha
-            # row i is L^-1 k(X, x_i); written over sq, which is no longer
-            # needed, to spare one fresh (rows, t) array
-            V = np.matmul(Kx, self._L_inv.T, out=sq)
-            var[rows] = 1.0 - np.einsum("nt,nt->n", V, V)
-            if retain:
-                V_all[:, rows] = V.T
-        return mean, var, V_all
+        sq = kernels.sq_distance_by_terms(Xq, self._terms, self.kernel.lengthscales)
+        Kx = kernels.profile(self.kernel, sq)  # (n, t)
+        mean = Kx @ self._alpha
+        # written over sq, which is no longer needed, to spare one fresh
+        # (n, t) array
+        V = np.matmul(Kx, self._L_inv.T, out=sq)
+        return mean, 1.0 - np.einsum("nt,nt->n", V, V), V
 
     def posterior_mean_var(self, x) -> tuple[float, float]:
         """Posterior mean and variance at a single query point."""

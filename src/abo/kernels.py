@@ -107,7 +107,8 @@ def sq_distance_by_terms(X: np.ndarray, terms, lengthscales) -> np.ndarray:
 def profile(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
     """Kernel values as a function of squared scaled distance."""
     if spec.family == SQUARED_EXPONENTIAL:
-        return np.exp(-0.5 * sq)
+        K = -0.5 * sq
+        return np.exp(K, out=K)  # in place: one fresh (n, t) array, not two
     s = np.sqrt(sq)
     if spec.nu == 1.5:
         r = np.sqrt(3.0) * s

@@ -273,6 +273,15 @@ class TestCommandLine:
         assert main(["run", "--config", bad, "--out", out]) == 2
         assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
 
+    @pytest.mark.parametrize("parallel", ["0", "-2"])
+    def test_run_rejects_parallel_below_one(self, tmp_path, capsys, parallel):
+        good = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", good, "--out", str(out), "--parallel", parallel]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: parallel must be >= 1, got {parallel}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, lines",
         [

@@ -1,8 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 
-from abo import algorithms, cli
+from abo import algorithms, cli, kernels
 from abo import gp as gp_module
 from abo.errors import DimensionMismatchError, InvalidObservationError, SingularModelError
 from abo.gp import GaussianProcess, chol_with_jitter, factorize
@@ -22,26 +24,28 @@ def read_only(X):
 
 
 @pytest.fixture
-def block_calls(monkeypatch):
-    """(queries, retain) of every blocked posterior pass."""
+def full_passes(monkeypatch):
+    """(queries, retained) of every full posterior pass; a pass is retained
+    when the carried scan makes it to keep V."""
     calls = []
-    blocks = GaussianProcess._posterior_blocks
+    full_pass = GaussianProcess._posterior_pass
 
-    def counting(self, Xq, retain):
-        calls.append((Xq, retain))
-        return blocks(self, Xq, retain)
+    def counting(self, Xq):
+        calls.append((Xq, sys._getframe(1).f_code.co_name == "_carried_scan"))
+        return full_pass(self, Xq)
 
-    monkeypatch.setattr(GaussianProcess, "_posterior_blocks", counting)
+    monkeypatch.setattr(GaussianProcess, "_posterior_pass", counting)
     return calls
 
 
-def passes_over(calls, cand):
-    """retain of each blocked pass over cand itself, in order."""
-    return [retain for Xq, retain in calls if Xq is cand]
+def full_passes_over(calls, cand):
+    """retained, for each full pass over cand itself, in order."""
+    return [retained for Xq, retained in calls if Xq is cand]
 
 
-def unblocked_posterior(gp, Xq):
-    """The posterior's steps in one pass over every query row."""
+def one_pass_reference(gp, Xq):
+    """The posterior's steps over every query row, with the distances from
+    ``sq_distance_by_product`` rather than the state's cached terms."""
     sq = sq_distance_by_product(Xq, gp.X, gp.kernel.lengthscales)
     Kx = profile(gp.kernel, sq)
     mean = Kx @ gp._alpha
@@ -139,17 +143,33 @@ class TestPosterior:
     @pytest.mark.parametrize("family,nu", KERNELS)
     @pytest.mark.parametrize("d", [1, 4])
     def test_blocks_keep_unblocked_bits(self, d, family, nu, n):
-        # at t = 25 and 43, 512-row blocks would fall to OpenBLAS's
-        # small-matrix GEMM, which rounds differently from the whole batch's
+        # the full pass equals the reference bit for bit (the name is from
+        # the row-blocked pass this test once checked)
         rng = np.random.default_rng(n + d)
         Xq = rng.uniform(size=(n, d))
         kernel = KernelSpec(np.full(d, 0.3), family, nu)
         for t in (5, 25, 43, 60, 100):
             gp = GaussianProcess(kernel, 0.1, rng.uniform(size=(t, d)), rng.standard_normal(t))
             mean, var = gp.posterior(Xq)
-            ref_mean, ref_var = unblocked_posterior(gp, Xq)
+            ref_mean, ref_var = one_pass_reference(gp, Xq)
             assert np.array_equal(mean, ref_mean) and np.array_equal(var, ref_var)
             assert np.all((var >= 0.0) & (var <= 1.0))
+
+    def test_large_query_takes_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        gp = GaussianProcess(
+            KernelSpec(np.full(4, 0.3)), 0.1, rng.uniform(size=(100, 4)), rng.standard_normal(100)
+        )
+        calls = []
+        by_terms = kernels.sq_distance_by_terms
+
+        def counting(Xq, *args):
+            calls.append(Xq.shape)
+            return by_terms(Xq, *args)
+
+        monkeypatch.setattr(kernels, "sq_distance_by_terms", counting)
+        gp.posterior(rng.uniform(size=(4352, 4)))
+        assert calls == [(4352, 4)]
 
     def test_variance_clipped_to_unit_interval(self):
         rng = np.random.default_rng(1)
@@ -179,7 +199,7 @@ class TestCarriedScan:
 
     @pytest.mark.parametrize("family,nu", KERNELS)
     @pytest.mark.parametrize("d", [1, 4])
-    def test_extension_matches_rescan(self, d, family, nu, block_calls):
+    def test_extension_matches_rescan(self, d, family, nu, full_passes):
         rng = np.random.default_rng(d)
         cand = read_only(rng.uniform(size=(700, d)))
         gp = GaussianProcess(KernelSpec(np.full(d, 0.3), family, nu), 0.1)
@@ -187,9 +207,9 @@ class TestCarriedScan:
             gp = gp.add_observation(rng.uniform(size=d), rng.standard_normal())
             self.assert_matches_rescan(gp, cand)
         # the first two scans are full, the second one retained
-        assert passes_over(block_calls, cand) == [False, True]
+        assert full_passes_over(full_passes, cand) == [False, True]
 
-    def test_two_children_and_a_grandchild(self, block_calls):
+    def test_two_children_and_a_grandchild(self, full_passes):
         rng = np.random.default_rng(11)
         cand = read_only(rng.uniform(size=(300, 2)))
         gp = self.five_points(rng)
@@ -201,9 +221,9 @@ class TestCarriedScan:
         self.assert_matches_rescan(first, cand)  # takes the parent's arrays
         self.assert_matches_rescan(second, cand)  # full path, retained
         self.assert_matches_rescan(first.add_observation([0.3, 0.3], 0.5), cand)
-        assert passes_over(block_calls, cand) == [False, True, True]
+        assert full_passes_over(full_passes, cand) == [False, True, True]
 
-    def test_new_lengthscales_and_writable_sets_rescan(self, block_calls):
+    def test_new_lengthscales_and_writable_sets_rescan(self, full_passes):
         rng = np.random.default_rng(12)
         cand = read_only(rng.uniform(size=(300, 2)))
         gp = self.five_points(rng)
@@ -214,8 +234,8 @@ class TestCarriedScan:
         swapped.posterior(cand)
         writable = cand.copy()
         gp.posterior(writable)
-        assert passes_over(block_calls, cand) == [False, True, False]
-        assert passes_over(block_calls, writable) == [False]
+        assert full_passes_over(full_passes, cand) == [False, True, False]
+        assert full_passes_over(full_passes, writable) == [False]
 
     def test_returned_arrays_are_copies(self):
         rng = np.random.default_rng(13)
@@ -228,7 +248,7 @@ class TestCarriedScan:
             gp = gp.add_observation(rng.uniform(size=2), rng.standard_normal())
         self.assert_matches_rescan(gp, cand)
 
-    def test_jittered_child_rescans(self, block_calls):
+    def test_jittered_child_rescans(self, full_passes):
         # k between the corners underflows to 0 and sigma^2 is lost next to
         # 1, so the repeated corner leaves a zero pivot
         gp = GaussianProcess(KernelSpec(np.full(2, 0.05)), 1e-9, [[0.0, 0.0]], [0.1])
@@ -241,14 +261,14 @@ class TestCarriedScan:
         mean, var = child.posterior(cand)
         ref_mean, ref_var = child.posterior(cand.copy())
         assert np.array_equal(mean, ref_mean) and np.array_equal(var, ref_var)
-        assert passes_over(block_calls, cand) == [False, True, True]
+        assert full_passes_over(full_passes, cand) == [False, True, True]
 
-    def test_fixed_kernel_run_scans_fully_at_most_twice(self, block_calls):
+    def test_fixed_kernel_run_scans_fully_at_most_twice(self, full_passes):
         objective = cli.make_objective("synthetic_4d", 0)
         config = algorithms.AlgorithmConfig(variant="fixed_gp_ucb", iterations=12)
         algorithms.run(objective, config)
         cand = algorithms._scan_candidates(4, config.seed)
-        assert passes_over(block_calls, cand) == [False, True]
+        assert full_passes_over(full_passes, cand) == [False, True]
 
 
 class TestFactorization:
