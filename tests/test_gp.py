@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
@@ -25,16 +23,25 @@ def read_only(X):
 
 @pytest.fixture
 def full_passes(monkeypatch):
-    """(queries, retained) of every full posterior pass; a pass is retained
-    when the carried scan makes it to keep V."""
+    """[queries, retained] of every full posterior pass; a pass is retained
+    when the carried scan it was made for holds V."""
     calls = []
     full_pass = GaussianProcess._posterior_pass
+    carried_scan = GaussianProcess._carried_scan
 
     def counting(self, Xq):
-        calls.append((Xq, sys._getframe(1).f_code.co_name == "_carried_scan"))
+        calls.append([Xq, False])
         return full_pass(self, Xq)
 
+    def carrying(self, cand):
+        start = len(calls)
+        scan = carried_scan(self, cand)
+        for call in calls[start:]:
+            call[1] = scan.V is not None
+        return scan
+
     monkeypatch.setattr(GaussianProcess, "_posterior_pass", counting)
+    monkeypatch.setattr(GaussianProcess, "_carried_scan", carrying)
     return calls
 
 
@@ -143,8 +150,7 @@ class TestPosterior:
     @pytest.mark.parametrize("family,nu", KERNELS)
     @pytest.mark.parametrize("d", [1, 4])
     def test_blocks_keep_unblocked_bits(self, d, family, nu, n):
-        # the full pass equals the reference bit for bit (the name is from
-        # the row-blocked pass this test once checked)
+        # every query row has the reference's bits, whatever n and t
         rng = np.random.default_rng(n + d)
         Xq = rng.uniform(size=(n, d))
         kernel = KernelSpec(np.full(d, 0.3), family, nu)
