@@ -206,6 +206,9 @@ class _RunState:
         self.widths: list[float] = []
         # (theta bytes, norm bound) -> choice on the current data
         self._choices: dict = {}
+        # theta bytes -> GP under theta on the current data, which keeps its
+        # scan for the choices of every norm bound
+        self._gps: dict = {}
         n_init = config.init_points
         if n_init is None:
             n_init = 2**d
@@ -218,6 +221,7 @@ class _RunState:
     def observe(self, it, x, bs, g, b, h, theta) -> bool:
         """Evaluate x, add it to the GP and record it; False aborts the run."""
         self._choices.clear()
+        self._gps.clear()
         f_val = evaluate_objective(self.objective, x)
         y = f_val + self.config.noise_sigma * self.noise_rng.standard_normal()
         if not np.isfinite(y):
@@ -247,9 +251,13 @@ class _RunState:
     def choice(self, theta: np.ndarray, norm_bound: float):
         """(GP under ``theta``, beta^{1/2}, the UCB argmax, sigma there) on
         the data so far; memoized until the next observation."""
-        key = (theta.tobytes(), norm_bound)
+        theta_key = theta.tobytes()
+        key = (theta_key, norm_bound)
         if key not in self._choices:
-            gp = self.gp.set_kernel(self.kernel0.with_lengthscales(theta))
+            if theta_key not in self._gps:
+                kernel = self.kernel0.with_lengthscales(theta)
+                self._gps[theta_key] = self.gp.set_kernel(kernel)
+            gp = self._gps[theta_key]
             bs = self.beta(norm_bound, gp.mutual_information())
             x = maximize_ucb(gp, bs, seed=self.config.seed)
             _, var = gp.posterior_mean_var(x)

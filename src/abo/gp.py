@@ -5,7 +5,9 @@ object with a freshly built Cholesky factorization L L^T = K + sigma^2 I.
 
 Factorization calls LAPACK's dpotrf and dtrtrs directly: the ``scipy.linalg``
 wrappers validate and copy their input on every call, and MAP makes thousands
-of these calls. A non-finite matrix or evidence raises ``ValueError``.
+of these calls. For the same reason sigma^2, and jitter after a failed try,
+go onto the diagonal of one copy of K, with no identity matrix. A non-finite
+matrix or evidence raises ``ValueError``.
 
 ``posterior`` is the acquisition's inner loop, so it works by matrix
 products: the query-data distances come from one GEMM
@@ -19,10 +21,12 @@ recognised by identity. A child has its parent's kernel and noise, and, if
 factorized with the same jitter, its factor is the parent's plus one row l.
 So the rows V = L^-1 k(X, cand), the mean and the variance extend by one
 row v = (k(cand, x_t) - l[:t-1] V) / l[t-1] in O(n t), in place of the
-full O(n t^2) pass. A state retains V only if its parent scanned the same
-set, so a kernel that changes every step never pays for it. The retained
-arrays have one owner: the first child to extend them takes them, a second
-child of the same parent rescans, and callers get copies. An extended row
+full O(n t^2) pass. A state keeps the mean and variance of its query of
+the set, so querying it again (UCB under another beta) makes no second
+pass. It retains V as well only if its parent scanned the same set, so a
+kernel that changes every step never pays for V. The kept arrays have one
+owner: the first child to extend them takes them, a second child of the
+same parent rescans, and callers get copies. An extended row
 differs from a rescan's in the last bits (under 1e-12 over 120 steps), so
 traces keep their bits unless an argmax ties within that rounding.
 
@@ -50,15 +54,23 @@ _BASE_JITTER = 1e-10
 _MAX_JITTER = 1e-6
 
 
+def _add_to_diagonal(A: np.ndarray, c: float) -> np.ndarray:
+    """A + c I as one copy of A, with the bits of ``A + c * np.eye(t)``."""
+    A = A.copy()
+    A.flat[:: A.shape[0] + 1] += c
+    return A
+
+
 def chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of A's lower triangle and the jitter added to
     A's diagonal for it, escalating from 0 only on failure. A failure on a
     NaN or inf raises ``ValueError``; one that LAPACK does not flag passes
     into the factor, whose log determinant ``factorize`` checks."""
     jitter = 0.0
-    eye = np.eye(A.shape[0])
     while jitter <= _MAX_JITTER:
-        L, info = dpotrf(A + jitter * eye, lower=1, clean=1)
+        # dpotrf factors a copy, so A itself serves the unjittered try
+        M = A if jitter == 0.0 else _add_to_diagonal(A, jitter)
+        L, info = dpotrf(M, lower=1, clean=1)
         if info == 0:
             return L, jitter
         if not np.all(np.isfinite(A)):
@@ -76,7 +88,7 @@ def factorize(K: np.ndarray, noise_sigma: float, y: np.ndarray):
     t = y.shape[0]
     if t == 0:
         return np.zeros((0, 0)), np.zeros(0), np.zeros(0), 0.0, 0.0
-    L, jitter = chol_with_jitter(K + noise_sigma**2 * np.eye(t))
+    L, jitter = chol_with_jitter(_add_to_diagonal(K, noise_sigma**2))
     # two triangular solves, the second with trans=1: dpotrs would take one
     # call but rounds alpha differently, and the golden traces record these bits
     z, _ = dtrtrs(L, y, lower=1)
@@ -92,15 +104,16 @@ def factorize(K: np.ndarray, noise_sigma: float, y: np.ndarray):
 
 @dataclass(eq=False)
 class _Scan:
-    """A state's query of a carried candidate set ``cand``. If retained,
-    ``V`` (t, n) holds the rows L^-1 k(X, cand), and ``mean`` and ``var``
-    the unclipped posterior there; else all three are None."""
+    """A state's query of a carried candidate set ``cand``: ``mean`` and
+    ``var`` the unclipped posterior there and, if retained, ``V`` (t, n)
+    the rows L^-1 k(X, cand). A child that extends the scan takes all three
+    and leaves None."""
 
     cand: np.ndarray
     jitter: float
-    V: np.ndarray | None = None
-    mean: np.ndarray | None = None
-    var: np.ndarray | None = None
+    V: np.ndarray | None
+    mean: np.ndarray | None
+    var: np.ndarray | None
 
 
 class GaussianProcess:
@@ -176,30 +189,34 @@ class GaussianProcess:
         if self.num_observations == 0:
             return np.zeros(n), np.ones(n)
         # only a read-only array that owns its data cannot change under a scan
-        carried = not Xq.flags.writeable and Xq.flags.owndata
-        scan = self._carried_scan(Xq) if carried else None
-        if scan is None or scan.V is None:
+        if Xq.flags.writeable or not Xq.flags.owndata:
             mean, var, _ = self._posterior_pass(Xq)
             return mean, np.clip(var, 0.0, 1.0, out=var)
-        # copies: the retained arrays pass on to a child that extends them
+        scan = self._carried_scan(Xq)
+        # copies: the scan serves this state's later queries, and its arrays
+        # pass on to a child that extends them
         return scan.mean.copy(), np.clip(scan.var, 0.0, 1.0)
 
     def _carried_scan(self, cand: np.ndarray) -> _Scan:
-        """This state's scan of the read-only set cand: extended from its
-        parent's retained one, or newly made, retained if the parent
-        scanned cand too."""
+        """This state's scan of the read-only set cand: the one it holds,
+        or its parent's retained one extended, or a full pass, whose V is
+        retained if the parent scanned cand too."""
         scan = self._scan
-        if scan is not None and scan.cand is cand:
+        if scan is not None and scan.cand is cand and scan.mean is not None:
             return scan
         parent, self._parent_scan = self._parent_scan, None
-        if parent is None or parent.cand is not cand:
-            self._scan = _Scan(cand, self._jitter)
-        elif parent.V is not None and parent.jitter == self._jitter:
+        scanned = parent is not None and parent.cand is cand
+        if scanned and parent.V is not None and parent.jitter == self._jitter:
             self._scan = self._extend(parent)
         else:
+            # free a parent's kept mean and variance before the pass
+            # allocates: held through it, they left the grown V where
+            # _extend's resize had to copy it
+            del parent
             mean, var, V = self._posterior_pass(cand)
             # C-contiguous (t, n), which _extend's resize needs
-            self._scan = _Scan(cand, self._jitter, V.T.copy(), mean, var)
+            V = V.T.copy() if scanned else None
+            self._scan = _Scan(cand, self._jitter, V, mean, var)
         return self._scan
 
     def _extend(self, parent: _Scan) -> _Scan:

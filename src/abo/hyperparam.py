@@ -99,8 +99,10 @@ def map_estimate(
 
     The search box is [1e-3, 100] per dimension, tightened to within one
     decade of ``init``. Deterministic: five fixed starts, three coordinate
-    sweeps each, golden-section per coordinate. The log posterior is
-    memoized per call, since the starts repeat the same line searches.
+    sweeps each, golden-section per coordinate. A line search depends only
+    on its coordinate and the others' values, so each is memoized per call
+    on those: the starts repeat the same searches, and in 1-d every search
+    is the same one. The log posterior is memoized per call too.
     """
     init = np.atleast_1d(np.asarray(init, dtype=float))
     d = init.shape[0]
@@ -123,6 +125,7 @@ def map_estimate(
         log.warning("MAP objective non-finite at init; returning init")
         return MapResult(best_theta, best_val)
 
+    searches: dict = {}  # (i, theta without coordinate i) -> (x, f(x))
     for start in starts:
         theta = start.copy()
         val = objective(theta)
@@ -135,9 +138,12 @@ def map_estimate(
                     cand[i] = math.exp(log_ti)
                     return objective(cand)
 
-                x, fx = _golden_section(
-                    f, math.log(lo[i]), math.log(hi[i])
-                )
+                key = (i, np.delete(theta, i).tobytes())
+                if key not in searches:
+                    searches[key] = _golden_section(
+                        f, math.log(lo[i]), math.log(hi[i])
+                    )
+                x, fx = searches[key]
                 if fx > val:
                     theta[i] = math.exp(x)
                     val = fx

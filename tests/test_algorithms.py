@@ -195,6 +195,32 @@ class TestRunTraces:
         assert len(calls) > 15
         assert len(set(calls)) == len(calls)
 
+    def test_one_gp_and_scan_per_theta_per_step(self, monkeypatch, full_passes):
+        # under combine_max, the estimator's tries share the MAP theta once
+        # it lies below the schedule's bound (from t = 48 on with seed 0), and
+        # differ only in the norm bound, hence in beta
+        built, choices = [], []
+        set_kernel = GaussianProcess.set_kernel
+
+        def spy_set_kernel(gp, kernel):
+            built.append((gp.num_observations, kernel.lengthscales.tobytes()))
+            return set_kernel(gp, kernel)
+
+        def spy_maximize(gp, bs, seed=0):
+            choices.append((gp.num_observations, bs))
+            return maximize_ucb(gp, bs, seed=seed)
+
+        monkeypatch.setattr(GaussianProcess, "set_kernel", spy_set_kernel)
+        monkeypatch.setattr(algorithms, "maximize_ucb", spy_maximize)
+        config = AlgorithmConfig(
+            estimator="one_step", map_mode="combine_max", iterations=50, seed=0
+        )
+        run(make_objective("example_rkhs", 0), config)
+        assert len(set(built)) == len(built) < len(choices)
+        cand = algorithms._scan_candidates(1, config.seed)
+        scans = sum(Xq is cand for Xq, _ in full_passes)
+        assert scans < len(choices)
+
     def test_determinism(self):
         obj = small_objective()
         config = AlgorithmConfig(iterations=6, seed=3)

@@ -21,30 +21,6 @@ def read_only(X):
     return X
 
 
-@pytest.fixture
-def full_passes(monkeypatch):
-    """[queries, retained] of every full posterior pass; a pass is retained
-    when the carried scan it was made for holds V."""
-    calls = []
-    full_pass = GaussianProcess._posterior_pass
-    carried_scan = GaussianProcess._carried_scan
-
-    def counting(self, Xq):
-        calls.append([Xq, False])
-        return full_pass(self, Xq)
-
-    def carrying(self, cand):
-        start = len(calls)
-        scan = carried_scan(self, cand)
-        for call in calls[start:]:
-            call[1] = scan.V is not None
-        return scan
-
-    monkeypatch.setattr(GaussianProcess, "_posterior_pass", counting)
-    monkeypatch.setattr(GaussianProcess, "_carried_scan", carrying)
-    return calls
-
-
 def full_passes_over(calls, cand):
     """retained, for each full pass over cand itself, in order."""
     return [retained for Xq, retained in calls if Xq is cand]
@@ -149,7 +125,7 @@ class TestPosterior:
     @pytest.mark.parametrize("n", [1, 511, 512, 513, 1280, 4352])
     @pytest.mark.parametrize("family,nu", KERNELS)
     @pytest.mark.parametrize("d", [1, 4])
-    def test_blocks_keep_unblocked_bits(self, d, family, nu, n):
+    def test_one_pass_matches_reference_bits(self, d, family, nu, n):
         # every query row has the reference's bits, whatever n and t
         rng = np.random.default_rng(n + d)
         Xq = rng.uniform(size=(n, d))
@@ -243,7 +219,7 @@ class TestCarriedScan:
         assert full_passes_over(full_passes, cand) == [False, True, False]
         assert full_passes_over(full_passes, writable) == [False]
 
-    def test_returned_arrays_are_copies(self):
+    def test_returned_arrays_are_copies(self, full_passes):
         rng = np.random.default_rng(13)
         cand = read_only(rng.uniform(size=(300, 2)))
         gp = self.five_points(rng)
@@ -251,8 +227,30 @@ class TestCarriedScan:
             mean, var = gp.posterior(cand)
             mean[:] = np.nan
             var[:] = -1.0
+            # the state's kept scan answers again, unchanged
+            self.assert_matches_rescan(gp, cand)
             gp = gp.add_observation(rng.uniform(size=2), rng.standard_normal())
         self.assert_matches_rescan(gp, cand)
+        assert full_passes_over(full_passes, cand) == [False, True]
+
+    def test_ucb_under_a_second_beta_makes_no_pass(self, full_passes):
+        gp = self.five_points(np.random.default_rng(16))
+        cand = algorithms._scan_candidates(2, 0)
+        x_low = algorithms.maximize_ucb(gp, 0.01)
+        x_high = algorithms.maximize_ucb(gp, 4.0)
+        assert not np.array_equal(x_low, x_high)
+        assert full_passes_over(full_passes, cand) == [False]
+
+    def test_child_of_unretained_scan_rescans_and_retains(self, full_passes):
+        rng = np.random.default_rng(17)
+        cand = read_only(rng.uniform(size=(300, 2)))
+        gp = self.five_points(rng)
+        gp.posterior(cand)  # full; the mean and variance kept, V not
+        assert gp._scan.mean is not None and gp._scan.V is None
+        child = gp.add_observation([0.4, 0.6], 0.2)
+        self.assert_matches_rescan(child, cand)
+        assert child._scan.V is not None
+        assert full_passes_over(full_passes, cand) == [False, True]
 
     def test_jittered_child_rescans(self, full_passes):
         # k between the corners underflows to 0 and sigma^2 is lost next to
@@ -293,6 +291,24 @@ class TestFactorization:
         gp = GaussianProcess(KernelSpec(np.full(2, 0.3)), 0.1, rng.uniform(size=(t, 2)), y)
         gp.posterior_mean_var([0.5, 0.5])
         assert np.array_equal(gp._L_inv, solve_triangular(gp._L, np.eye(t), lower=True))
+
+    @pytest.mark.parametrize("singular", [False, True], ids=["unjittered", "escalated"])
+    def test_inputs_left_unchanged(self, singular):
+        # sigma^2 = 1e-18 is lost next to 1, so the all-ones K needs jitter
+        rng = np.random.default_rng(10)
+        if singular:
+            K, noise = np.ones((4, 4)), 1e-9
+        else:
+            K, noise = gram_matrix(KernelSpec(np.full(2, 0.3)), rng.uniform(size=(4, 2))), 0.1
+        y = rng.standard_normal(4)
+        A = K + noise**2 * np.eye(4)
+        inputs = (K, A, y)
+        before = [a.copy() for a in inputs]
+        _, jitter = chol_with_jitter(A)
+        *_, factorize_jitter, _ = factorize(K, noise, y)
+        assert jitter == factorize_jitter == (1e-10 if singular else 0.0)
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a, b)
 
     def test_jitter_escalates_on_singular_matrix(self):
         A = np.ones((3, 3))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from abo import gp as gp_module
+from abo import hyperparam
 from abo.errors import SingularModelError
 from abo.gp import GaussianProcess
 from abo.hyperparam import (
@@ -167,6 +168,55 @@ class TestMapEstimate:
         a = map_estimate(gp, prior, init=np.ones(1))
         b = map_estimate(gp, prior, init=np.ones(1))
         assert np.array_equal(a.theta_map, b.theta_map)
+
+
+def every_line_search(state, prior, init):
+    """Reference: map_estimate's starts and sweeps, running every line search."""
+    lo = np.maximum(hyperparam.BOX_LOW, init / hyperparam.TRUNCATION_FACTOR)
+    hi = np.minimum(hyperparam.BOX_HIGH, init * hyperparam.TRUNCATION_FACTOR)
+    objective = _log_posterior(state, prior)
+    mode = np.full(init.shape[0], prior.mode if prior.mode > 0 else hyperparam.BOX_LOW)
+    starts = [init, mode, np.sqrt(lo * hi), init / 3.0, init * 3.0]
+    best_theta = np.clip(init, lo, hi)
+    best_val = objective(best_theta)
+    for start in starts:
+        theta = np.clip(start, lo, hi)
+        val = objective(theta)
+        for _ in range(hyperparam._SWEEPS):
+            for i in range(init.shape[0]):
+                def f(log_ti, i=i, theta=theta):
+                    cand = theta.copy()
+                    cand[i] = math.exp(log_ti)
+                    return objective(cand)
+
+                x, fx = hyperparam._golden_section(f, math.log(lo[i]), math.log(hi[i]))
+                if fx > val:
+                    theta[i], val = math.exp(x), fx
+        if val > best_val:
+            best_theta, best_val = theta, val
+    return best_theta, best_val
+
+
+class TestLineSearchMemo:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_searches_run_once_with_unmemoized_bits(self, monkeypatch, d):
+        X, y = sample_from(np.full(d, 0.3), 20, seed=d)
+        state = GaussianProcess(KernelSpec(np.ones(d)), 0.05, X, y)
+        prior, init = LengthscalePrior(), np.ones(d)
+        theta, val = every_line_search(state, prior, init)
+        calls = []
+        golden_section = hyperparam._golden_section
+
+        def counting(*args):
+            calls.append(args[1:])
+            return golden_section(*args)
+
+        monkeypatch.setattr(hyperparam, "_golden_section", counting)
+        result = map_estimate(state, prior, init=init)
+        # 5 starts x 3 sweeps x d searches without the memo; in 1-d all
+        # are the same one
+        assert len(calls) == 1 if d == 1 else len(calls) < 15 * d
+        assert np.array_equal(result.theta_map, theta) and result.log_posterior == val
 
 
 class TestCombineOperators:
