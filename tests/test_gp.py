@@ -125,8 +125,9 @@ class TestPosterior:
     @pytest.mark.parametrize("n", [1, 511, 512, 513, 1280, 4352])
     @pytest.mark.parametrize("family,nu", KERNELS)
     @pytest.mark.parametrize("d", [1, 4])
-    def test_one_pass_matches_reference_bits(self, d, family, nu, n):
-        # every query row has the reference's bits, whatever n and t
+    def test_blocks_keep_unblocked_bits(self, d, family, nu, n):
+        # every query row has the reference's bits, whatever n and t; the name
+        # is kept from the row-block days so the test ids stay stable
         rng = np.random.default_rng(n + d)
         Xq = rng.uniform(size=(n, d))
         kernel = KernelSpec(np.full(d, 0.3), family, nu)
