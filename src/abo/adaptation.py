@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,9 @@ H_SOLVE_RTOL = 1e-6
 # Line-search grid for the sigma >= kappa shrinking baseline.
 WANG_GRID_RATIO = 1.05
 WANG_CAP = 1e3
+
+# One UCB step's norm bound, split (g, b) of master scale h, and lengthscales
+Step = namedtuple("Step", "norm_bound g b h theta")
 
 
 def h_cap(t: int) -> float:
@@ -97,10 +101,10 @@ class ScalingState:
         self.h_prev = h
 
 
-def scaled_hyperparameters(s: ScalingState, h: float):
-    """(g, b, lengthscales theta0/g, norm bound b*g^d*B0) for master scale h."""
+def scaled_hyperparameters(s: ScalingState, h: float) -> Step:
+    """The step at master scale h: lengthscales theta0/g, norm bound b*g^d*B0."""
     g, b = decompose(h, s.lam, s.dim)
-    return g, b, s.theta0 / g, b * g**s.dim * s.b0
+    return Step(b * g**s.dim * s.b0, g, b, h, s.theta0 / g)
 
 
 def reference_regret(s: ScalingState, t: int) -> float:
@@ -126,9 +130,9 @@ def regret_bound_estimate(
     Monotone increasing in h.
     """
     g_prev, _ = decompose(s.h_prev, s.lam, s.dim)
-    g, _, _, norm_bound = scaled_hyperparameters(s, h)
-    scaled_mi = (g / g_prev) ** s.gamma_exponent * mi_prev_theta
-    bs = beta_fn(norm_bound, scaled_mi)
+    step = scaled_hyperparameters(s, h)
+    scaled_mi = (step.g / g_prev) ** s.gamma_exponent * mi_prev_theta
+    bs = beta_fn(step.norm_bound, scaled_mi)
     c1 = c1_constant(noise_sigma)
     return math.sqrt(c1 * t * bs**2 * scaled_mi)
 

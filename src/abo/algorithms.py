@@ -5,12 +5,12 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import adaptation, hyperparam
-from .adaptation import ESTIMATORS, REGRET_BOUND, ScalingState
+from .adaptation import ESTIMATORS, REGRET_BOUND, ScalingState, Step
 from .confidence import ConfidenceParams, beta_sqrt
 from .gp import GaussianProcess
 from .objectives import ObjectiveSpec, evaluate_objective, sobol_points
@@ -117,17 +117,19 @@ class RunTrace:
     cumulative_regret: list = field(default_factory=list)
     aborted: bool = False
 
-    def append(self, it, x, y, bs, g, b, h, theta, simple, cumulative):
-        self.iters.append(int(it))
-        self.X.append(np.asarray(x, dtype=float))
-        self.y.append(float(y))
-        self.beta_sqrt.append(float(bs))
-        self.g.append(float(g))
-        self.b.append(float(b))
-        self.h.append(float(h))
-        self.theta.append(np.asarray(theta, dtype=float))
-        self.simple_regret.append(float(simple))
-        self.cumulative_regret.append(float(cumulative))
+    @classmethod
+    def columns(cls) -> list[str]:
+        """The trace's columns in CSV order: the names of the list fields."""
+        return [f.name for f in fields(cls) if f.default_factory is list]
+
+    def append(self, it, x, y, bs, step: Step, simple, cumulative):
+        """One row; g, b, h and theta are the step's fields of those names."""
+        row = dict(step._asdict(), iters=it, X=x, y=y, beta_sqrt=bs,
+                   simple_regret=simple, cumulative_regret=cumulative)
+        for name in self.columns():
+            value = row[name]  # X and theta are vectors, iters an int, the rest floats
+            kind = int if name == "iters" else float if np.isscalar(value) else np.asarray
+            getattr(self, name).append(kind(value))
 
     def __len__(self):
         return len(self.iters)
@@ -213,12 +215,13 @@ class _RunState:
         if n_init is None:
             n_init = 2**d
         init_rng = make_rng(config.seed, tag="init")
+        init_step = Step(config.b0, 1.0, 1.0, 1.0, self.theta0)
         for j in range(n_init):
             x = init_rng.uniform(size=d)
-            if not self.observe(j - n_init, x, 0.0, 1.0, 1.0, 1.0, self.theta0):
+            if not self.observe(j - n_init, x, 0.0, init_step):
                 break
 
-    def observe(self, it, x, bs, g, b, h, theta) -> bool:
+    def observe(self, it, x, bs, step: Step) -> bool:
         """Evaluate x, add it to the GP and record it; False aborts the run."""
         self._choices.clear()
         self._gps.clear()
@@ -232,8 +235,7 @@ class _RunState:
         self.best_f = max(self.best_f, f_val)
         self.cumulative += self.objective.f_max - f_val
         self.trace.append(
-            it, x, y, bs, g, b, h, theta,
-            self.objective.f_max - self.best_f, self.cumulative,
+            it, x, y, bs, step, self.objective.f_max - self.best_f, self.cumulative
         )
         return True
 
@@ -248,27 +250,24 @@ class _RunState:
     def map_theta(self) -> np.ndarray:
         return hyperparam.map_estimate(self.gp, self.prior, init=self.theta0).theta_map
 
-    def choice(self, theta: np.ndarray, norm_bound: float):
-        """(GP under ``theta``, beta^{1/2}, the UCB argmax, sigma there) on
-        the data so far; memoized until the next observation."""
-        theta_key = theta.tobytes()
-        key = (theta_key, norm_bound)
+    def choice(self, step: Step):
+        """(GP under the step's theta, beta^{1/2}, the UCB argmax, sigma there)
+        on the data so far; memoized until the next observation."""
+        theta_key = step.theta.tobytes()
+        key = (theta_key, step.norm_bound)
         if key not in self._choices:
             if theta_key not in self._gps:
-                kernel = self.kernel0.with_lengthscales(theta)
+                kernel = self.kernel0.with_lengthscales(step.theta)
                 self._gps[theta_key] = self.gp.set_kernel(kernel)
             gp = self._gps[theta_key]
-            bs = self.beta(norm_bound, gp.mutual_information())
+            bs = self.beta(step.norm_bound, gp.mutual_information())
             x = maximize_ucb(gp, bs, seed=self.config.seed)
             _, var = gp.posterior_mean_var(x)
             self._choices[key] = gp, bs, x, float(np.sqrt(var))
         return self._choices[key]
 
 
-# A policy takes the run state and returns step(t) -> (norm_bound, g, b, h,
-# theta_t), the hyperparameters of UCB step t; the loop builds the GP under
-# theta_t. The previous step's g is the last trace row's g (1 after the init
-# rows).
+# A policy takes the run state and returns step(t) -> the Step of UCB step t.
 
 
 def _agp_policy(state: _RunState):
@@ -286,12 +285,13 @@ def _agp_policy(state: _RunState):
         theta_map = state.map_theta() if config.map_mode != MAP_OFF else None
 
         def hyperparameters(h):
-            g, b, theta, norm_bound = adaptation.scaled_hyperparameters(scaling, h)
+            step = adaptation.scaled_hyperparameters(scaling, h)
+            theta = step.theta
             if config.map_mode == MAP_COMBINE_MAX:
-                theta = hyperparam.combine_max(theta_map, state.theta0, g)
+                theta = hyperparam.combine_max(theta_map, state.theta0, step.g)
             elif config.map_mode == MAP_COMBINE_SCALE:
-                theta = hyperparam.combine_scale(theta_map, g)
-            return norm_bound, g, b, h, theta
+                theta = hyperparam.combine_scale(theta_map, step.g)
+            return step._replace(theta=theta)
 
         if config.estimator == REGRET_BOUND:
             mi_prev = state.gp.mutual_information()
@@ -303,8 +303,7 @@ def _agp_policy(state: _RunState):
         else:
 
             def estimator_eval(hh):
-                norm_bound, _, _, _, theta_h = hyperparameters(hh)
-                _, bs_h, _, sigma_h = state.choice(theta_h, norm_bound)
+                _, bs_h, _, sigma_h = state.choice(hyperparameters(hh))
                 return adaptation.one_step_estimate(state.widths, (bs_h, sigma_h))
 
         h = adaptation.solve_h(scaling, t, estimator_eval)
@@ -321,7 +320,7 @@ def _fixed_policy(state: _RunState):
         theta_t = state.theta0
         if state.config.map_mode != MAP_OFF:
             theta_t = state.map_theta()
-        return state.config.b0, 1.0, 1.0, 1.0, theta_t
+        return Step(state.config.b0, 1.0, 1.0, 1.0, theta_t)
 
     return step
 
@@ -330,15 +329,16 @@ def _wang_policy(state: _RunState):
     """Shrink lengthscales until sigma at the next input reaches kappa; no
     sublinear reference, no lower bound on lengthscales."""
     config = state.config
+    g = 1.0  # the previous step's g; 1 for the init rows
+
+    def shrunk(c):  # the step with lengthscales c times shorter than g's
+        return Step(config.b0, g * c, 1.0, g * c, state.theta0 / (g * c))
 
     def step(t):
-        g_prev = state.trace.g[-1]
-        c = adaptation.wang_baseline_scale(
-            config.kappa,
-            lambda c: state.choice(state.theta0 / (g_prev * c), config.b0)[3],
-        )
-        g = g_prev * c
-        return config.b0, g, 1.0, g, state.theta0 / g
+        nonlocal g
+        g *= adaptation.wang_baseline_scale(
+            config.kappa, lambda c: state.choice(shrunk(c))[3])
+        return shrunk(1.0)  # the step at the new g
 
     return step
 
@@ -359,9 +359,9 @@ def run(objective: ObjectiveSpec, config: AlgorithmConfig) -> RunTrace:
         return state.trace
     policy = POLICIES[config.variant](state)
     for t in range(1, config.iterations + 1):
-        norm_bound, g, b, h, theta_t = policy(t)
-        state.gp, bs, x_next, sigma = state.choice(theta_t, norm_bound)
-        if not state.observe(t, x_next, bs, g, b, h, theta_t):
+        step = policy(t)
+        state.gp, bs, x_next, sigma = state.choice(step)
+        if not state.observe(t, x_next, bs, step):
             break
         state.widths.append(2.0 * bs * sigma)
     return state.trace

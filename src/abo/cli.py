@@ -13,6 +13,7 @@ import contextlib
 import io
 import multiprocessing
 import os
+import re
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -37,6 +38,9 @@ from .rng import GENERATOR_NAME
 PROBLEMS = {"example_rkhs": 1, "gp_sample": 1, "synthetic_4d": 4}
 
 _FLOAT_FMT = "%.17g"
+# NAME_seedINT.csv, an algorithm's trace for one seed, which may be negative
+_TRACE_FILE = "{}_seed{}.csv"
+_TRACE_FILE_RE = re.compile(r"(.+)_seed-?[0-9]+\.csv")
 # thread-count variables of the BLAS builds NumPy ships with
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -194,24 +198,24 @@ def make_objective(problem: str, seed: int) -> ObjectiveSpec:
     return make_rkhs_function(kernel, m=30, target_norm=2.0, seed=seed)
 
 
+def _csv_names(column: str, dim: int) -> list[str]:
+    """A RunTrace column's CSV names: its own, but "iter" for iters and one
+    "x_i" or "theta_i" per dimension for the vectors X and theta."""
+    if column in ("X", "theta"):
+        return [f"{column.lower()}_{i}" for i in range(dim)]
+    return ["iter" if column == "iters" else column]
+
+
 def trace_header(dim: int) -> list[str]:
-    return (
-        ["iter"]
-        + [f"x_{i}" for i in range(dim)]
-        + ["y", "beta_sqrt", "g", "b", "h"]
-        + [f"theta_{i}" for i in range(dim)]
-        + ["simple_regret", "cumulative_regret"]
-    )
+    return [name for column in RunTrace.columns() for name in _csv_names(column, dim)]
 
 
 def emit_trace(trace: RunTrace, path: str) -> None:
     """Write the trace CSV atomically (temp file + rename)."""
-    table = np.column_stack(
-        [trace.iters, np.reshape(trace.X, (-1, trace.dim))]
-        + [trace.y, trace.beta_sqrt, trace.g, trace.b, trace.h]
-        + [np.reshape(trace.theta, (-1, trace.dim))]
-        + [trace.simple_regret, trace.cumulative_regret]
-    )
+    names = {c: _csv_names(c, trace.dim) for c in RunTrace.columns()}
+    table = np.column_stack([
+        np.reshape(getattr(trace, c), (len(trace), len(names[c]))) for c in names
+    ])
     _write_table(path, trace_header(trace.dim), table)
 
 
@@ -303,7 +307,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
     sizes = {"iterations": config.iterations, "init_points": config.init_points}
     cells = [
         (config.problem, replace(algo, seed=seed, **sizes),
-         os.path.join(out_dir, f"{algo.name}_seed{seed}.csv"))
+         os.path.join(out_dir, _TRACE_FILE.format(algo.name, seed)))
         for algo in config.algorithms
         for seed in config.seeds
     ]
@@ -371,9 +375,9 @@ def _cmd_summarize(args) -> int:
         return 2
     paths = {}
     for entry in sorted(os.listdir(args.dir)):
-        if entry.endswith(".csv") and "_seed" in entry:
-            name = entry.rsplit("_seed", 1)[0]
-            paths.setdefault(name, []).append(os.path.join(args.dir, entry))
+        match = _TRACE_FILE_RE.fullmatch(entry)
+        if match:
+            paths.setdefault(match[1], []).append(os.path.join(args.dir, entry))
     if not paths:
         print(f"no trace files in {args.dir}", file=sys.stderr)
         return 1

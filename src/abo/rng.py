@@ -1,9 +1,9 @@
 """Splittable, purpose-keyed random number generation.
 
 Streams are Philox4x64 counter-based generators keyed by the SHA-256 hash
-of "seed|run_id|tag", so independent streams for initialization, noise,
-and objective generation never overlap and can be reproduced from the
-(seed, run_id, tag) triple alone.
+of "seed||tag", so independent streams for initialization, noise, and
+objective generation never overlap and can be reproduced from the
+(seed, tag) pair alone.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ import hashlib
 
 import numpy as np
 
+# Every summary CSV prints it, so it keeps the always-empty middle field.
 GENERATOR_NAME = "philox4x64/sha256(seed|run_id|tag)"
 
 
-def make_rng(seed: int, run_id: str = "", tag: str = "") -> np.random.Generator:
-    material = f"{int(seed)}|{run_id}|{tag}".encode()
+def make_rng(seed: int, *, tag: str = "") -> np.random.Generator:
+    material = f"{int(seed)}||{tag}".encode()
     key = int.from_bytes(hashlib.sha256(material).digest()[:16], "little")
     return np.random.Generator(np.random.Philox(key=key))

@@ -60,23 +60,23 @@ class TestDecompose:
 
 class TestScaledHyperparameters:
     def test_identity(self):
-        g, b, theta, bt = scaled_hyperparameters(state(), 1.0)
+        bt, g, b, _, theta = scaled_hyperparameters(state(), 1.0)
         assert (g, b) == (1.0, 1.0)
         np.testing.assert_array_equal(theta, np.ones(1))
         assert bt == 2.0
 
     def test_known_arithmetic(self):
         s = state(theta0=np.ones(2))
-        g, b, theta, bt = scaled_hyperparameters(s, 6.0)
+        bt, g, b, _, theta = scaled_hyperparameters(s, 6.0)
         assert (g, b) == decompose(6.0, s.lam, s.dim)
         np.testing.assert_array_equal(theta, s.theta0 / g)
         assert bt == b * g**2 * s.b0
 
     def test_monotone_in_h(self):
         s = state()
-        _, _, prev_theta, prev_b = scaled_hyperparameters(s, 1.0)
+        prev_b, _, _, _, prev_theta = scaled_hyperparameters(s, 1.0)
         for h in (1.5, 2.0, 5.0, 20.0):
-            _, _, theta, bt = scaled_hyperparameters(s, h)
+            bt, _, _, _, theta = scaled_hyperparameters(s, h)
             assert np.all(theta <= prev_theta)
             assert bt >= prev_b
             prev_theta, prev_b = theta, bt

@@ -112,6 +112,12 @@ class TestRunTraces:
         assert trace.iters[2:] == list(range(1, 9))
 
     @pytest.mark.parametrize("variant", ["agp_ucb", "fixed_gp_ucb", "wang_shrink"])
+    def test_runs_without_init_rows(self, variant):
+        # no policy reads the trace, so its first step needs no init row
+        obj, trace = self.run_short(variant, init_points=0)
+        assert trace.iters == list(range(1, 9))
+
+    @pytest.mark.parametrize("variant", ["agp_ucb", "fixed_gp_ucb", "wang_shrink"])
     def test_points_in_cube_and_regret_monotone(self, variant):
         obj, trace = self.run_short(variant)
         X = np.asarray(trace.X)

@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+from abo import algorithms
+from abo.adaptation import Step
 from abo.algorithms import AlgorithmConfig, RunTrace
 from abo.cli import (
     _BLAS_THREADS,
@@ -119,9 +121,13 @@ class TestObjectiveFactory:
 
 def tiny_trace(dim=1):
     trace = RunTrace(dim=dim)
-    trace.append(-1, np.full(dim, 0.25), 0.1, 0.0, 1.0, 1.0, 1.0, np.ones(dim), 0.9, 0.9)
-    trace.append(1, np.full(dim, 0.5), 0.3, 2.4, 1.1, 1.01, 1.111, np.full(dim, 0.9), 0.7, 1.6)
-    trace.append(2, np.full(dim, 0.75), 1.0 / 3.0, 2.5, 1.2, 1.02, 1.224, np.full(dim, 0.8), 0.2, 1.8)
+    # the norm bound is no trace column
+    step = Step(2.0, 1.0, 1.0, 1.0, np.ones(dim))
+    trace.append(-1, np.full(dim, 0.25), 0.1, 0.0, step, 0.9, 0.9)
+    step = Step(2.0, 1.1, 1.01, 1.111, np.full(dim, 0.9))
+    trace.append(1, np.full(dim, 0.5), 0.3, 2.4, step, 0.7, 1.6)
+    step = Step(2.0, 1.2, 1.02, 1.224, np.full(dim, 0.8))
+    trace.append(2, np.full(dim, 0.75), 1.0 / 3.0, 2.5, step, 0.2, 1.8)
     return trace
 
 
@@ -149,6 +155,52 @@ class TestTraceIO:
         np.testing.assert_array_equal(cols["y"], trace.y)  # 17 sig digits
         np.testing.assert_array_equal(cols["x_0"], [0.25, 0.5, 0.75])
 
+    @pytest.mark.parametrize("problem", ["example_rkhs", "synthetic_4d"])
+    @pytest.mark.parametrize(
+        "settings",
+        [dict(variant="agp_ucb"),
+         dict(variant="agp_ucb", estimator="one_step", map_mode="combine_max"),
+         dict(variant="fixed_gp_ucb"), dict(variant="wang_shrink")],
+        ids=["agp_ucb", "agp_ucb_one_step_combine_max", "fixed_gp_ucb", "wang_shrink"],
+    )
+    def test_every_column_round_trips(self, tmp_path, monkeypatch, problem, settings):
+        steps = []
+        policy = algorithms.POLICIES[settings["variant"]]
+
+        def spy(state):
+            step = policy(state)
+
+            def record(t):
+                steps.append(step(t))
+                return steps[-1]
+
+            return record
+
+        monkeypatch.setitem(algorithms.POLICIES, settings["variant"], spy)
+        config = AlgorithmConfig(iterations=3, seed=0, **settings)
+        trace = algorithms.run(make_objective(problem, 0), config)
+        path = str(tmp_path / "t.csv")
+        emit_trace(trace, path)
+        cols = read_table(path)
+        header = trace_header(trace.dim)
+        assert list(cols) == header
+        # the header's columns, in order, are RunTrace's columns, with X and
+        # theta one column per dimension; each read back bit for bit
+        read = iter(header)
+        for column in RunTrace.columns():
+            values = np.asarray(getattr(trace, column), dtype=float)
+            for written in values.reshape(len(trace), -1).T:
+                assert cols[next(read)].tobytes() == written.tobytes(), column
+        assert next(read, None) is None
+        # each step the policy returned lands in its row unchanged
+        rows = np.flatnonzero(cols["iter"] >= 1)
+        assert len(steps) == len(rows) == 3
+        for row, step in zip(rows, steps):
+            for column in ("g", "b", "h"):
+                assert cols[column][row] == getattr(step, column)
+            theta = [cols[f"theta_{i}"][row] for i in range(trace.dim)]
+            assert np.asarray(theta).tobytes() == step.theta.tobytes()
+
     def test_unwritable_path(self):
         with pytest.raises(OSError):
             emit_trace(tiny_trace(), "/proc/definitely/not/writable.csv")
@@ -161,8 +213,9 @@ class TestTraceIO:
         for seed in range(11):
             trace = RunTrace(dim=2)
             s, c = rng.uniform(size=6), np.cumsum(rng.uniform(size=6))
+            step = Step(1, 1, 1, 1, np.ones(2))
             for i in range(6):
-                trace.append(i, rng.uniform(size=2), 0.5, 1, 1, 1, 1, np.ones(2), s[i], c[i])
+                trace.append(i, rng.uniform(size=2), 0.5, 1, step, s[i], c[i])
             path = str(tmp_path / f"a_seed{seed}.csv")
             emit_trace(trace, path)
             regrets[path] = np.column_stack([s, c])
@@ -350,6 +403,26 @@ class TestCommandLine:
         summary = os.path.join(out, "fixed_summary.csv")
         before = open(summary, "rb").read()
         assert main(["summarize", out]) == 0
+        assert open(summary, "rb").read() == before
+
+    @pytest.mark.parametrize(
+        "name, seeds", [("fixed_seeded", "0, 1"), ("fixed", "-1, 0")],
+        ids=["name_with_seed", "negative_seed"],
+    )
+    def test_summarize_reads_only_trace_file_names(self, tmp_path, capsys, name, seeds):
+        # traces are NAME_seedINT.csv; NAME_summary.csv is no trace even
+        # when NAME contains "_seed"
+        text = SMALL_CONFIG.replace("[algorithm.fixed]", f"[algorithm.{name}]")
+        text = text.replace("seeds = 0, 1", f"seeds = {seeds}")
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", write_config(tmp_path, text), "--out", out]) == 0
+        summary = os.path.join(out, f"{name}_summary.csv")
+        before = open(summary, "rb").read()
+        capsys.readouterr()
+        assert main(["summarize", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith(f"{name}: 2 seeds, ")
         assert open(summary, "rb").read() == before
 
     def test_summarize_skips_short_trace(self, tmp_path, capsys):
