@@ -6,16 +6,15 @@ from .algorithms import (
     maximize_ucb,
     run,
 )
-from .confidence import ConfidenceParams, beta_sqrt, confidence_interval
+from .confidence import ConfidenceParams, beta_sqrt
 from .gp import GaussianProcess
-from .kernels import KernelSpec, evaluate, gram_matrix, rkhs_norm_of_expansion
+from .kernels import KernelSpec, gram_matrix, rkhs_norm_of_expansion
 from .objectives import (
     ObjectiveSpec,
     bump_linear_preset,
     evaluate_objective,
     make_gp_sample_function,
     make_rkhs_function,
-    regret_metrics,
 )
 
 __all__ = [
@@ -27,14 +26,11 @@ __all__ = [
     "RunTrace",
     "beta_sqrt",
     "bump_linear_preset",
-    "confidence_interval",
-    "evaluate",
     "evaluate_objective",
     "gram_matrix",
     "make_gp_sample_function",
     "make_rkhs_function",
     "maximize_ucb",
-    "regret_metrics",
     "rkhs_norm_of_expansion",
     "run",
 ]

@@ -118,9 +118,10 @@ class RunTrace:
     aborted: bool = False
 
     @classmethod
-    def columns(cls) -> list[str]:
+    @functools.cache  # append reads it for every row
+    def columns(cls) -> tuple[str, ...]:
         """The trace's columns in CSV order: the names of the list fields."""
-        return [f.name for f in fields(cls) if f.default_factory is list]
+        return tuple(f.name for f in fields(cls) if f.default_factory is list)
 
     def append(self, it, x, y, bs, step: Step, simple, cumulative):
         """One row; g, b, h and theta are the step's fields of those names."""

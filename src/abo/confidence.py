@@ -1,11 +1,10 @@
-"""Confidence-width multipliers and pointwise confidence intervals."""
+"""The confidence-width multiplier beta^{1/2} and its parameters."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .gp import GaussianProcess
 
 @dataclass(frozen=True)
 class ConfidenceParams:
@@ -35,13 +34,3 @@ def beta_sqrt(params: ConfidenceParams, mutual_info: float) -> float:
     return params.norm_bound + 4.0 * params.noise_sigma * math.sqrt(
         mutual_info + 1.0 + math.log(1.0 / params.delta)
     )
-
-
-def confidence_interval(
-    state: GaussianProcess, params: ConfidenceParams, x
-) -> tuple[float, float]:
-    """Interval mu +/- beta^{1/2} sigma using the realized mutual information."""
-    b = beta_sqrt(params, state.mutual_information())
-    mean, var = state.posterior_mean_var(x)
-    half = b * math.sqrt(var)
-    return mean - half, mean + half

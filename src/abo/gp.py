@@ -11,7 +11,7 @@ matrix or evidence raises ``ValueError``.
 
 ``posterior`` is the acquisition's inner loop, so it works by matrix
 products: the query-data distances come from one GEMM
-(``kernels.sq_distance_by_product``), and the variance from L^-1. A state
+(``kernels.sq_distance_by_terms``), and the variance from L^-1. A state
 computes L^-1 and its data's side of the distance product on its first query
 and keeps them.
 
@@ -227,7 +227,8 @@ class GaussianProcess:
         parent.V = parent.mean = parent.var = None
         t = self.num_observations
         n = V.shape[1]
-        sq = kernels.sq_distance_by_product(parent.cand, self.X[t - 1 :], self.kernel.lengthscales)
+        ls = self.kernel.lengthscales
+        sq = kernels.sq_distance_by_terms(parent.cand, kernels.product_terms(self.X[t - 1 :], ls), ls)
         k = kernels.profile(self.kernel, sq)[:, 0]
         l = self._L[t - 1, :t]
         v = (k - l[: t - 1] @ V) / l[t - 1]

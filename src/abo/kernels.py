@@ -74,27 +74,22 @@ def sq_distance(diff: np.ndarray, lengthscales) -> np.ndarray:
     return np.einsum("nmd,nmd->nm", diff, diff)
 
 
-def sq_distance_by_product(X: np.ndarray, X2: np.ndarray, lengthscales) -> np.ndarray:
-    """Squared scaled distances between the rows of X (n, d) and X2 (m, d) as
-    |a|^2 + |b|^2 - 2 a.b from one matrix product, clipped at 0.
+def product_terms(X2: np.ndarray, lengthscales) -> tuple[np.ndarray, np.ndarray]:
+    """X2's side of ``sq_distance_by_terms``: -2 b and |b|^2 for the
+    centred, scaled rows b of X2 (m, d), computed once for many queries.
 
     Both sets are centred on the unit cube's middle first. The distances do
     not change, but the norms shrink, and with them the cancellation error.
-    Its rounding differs from ``sq_distance``'s by about d * eps / l^2.
+    The rounding differs from ``sq_distance``'s by about d * eps / l^2.
     """
-    return sq_distance_by_terms(X, product_terms(X2, lengthscales), lengthscales)
-
-
-def product_terms(X2: np.ndarray, lengthscales) -> tuple[np.ndarray, np.ndarray]:
-    """X2's side of ``sq_distance_by_product``: -2 b and |b|^2 for the
-    centred, scaled rows b of X2, computed once for many queries."""
     B = (X2 - 0.5) / lengthscales
     return -2.0 * B, np.einsum("md,md->m", B, B)
 
 
 def sq_distance_by_terms(X: np.ndarray, terms, lengthscales) -> np.ndarray:
-    """``sq_distance_by_product`` of X against the set whose
-    ``product_terms`` are given; the same bits."""
+    """Squared scaled distances between the rows of X (n, d) and the set
+    whose ``product_terms`` are given, as |a|^2 + |b|^2 - 2 a.b from one
+    matrix product, clipped at 0."""
     neg2B, B_sq = terms
     A = (X - 0.5) / lengthscales
     # accumulated in place: each fresh (n, m) temporary costs page faults
@@ -122,11 +117,6 @@ def cross_gram(spec: KernelSpec, X, X2) -> np.ndarray:
     X = _check_points(spec, X)
     X2 = _check_points(spec, X2)
     return profile(spec, sq_distance(X[:, None, :] - X2[None, :, :], spec.lengthscales))
-
-
-def evaluate(spec: KernelSpec, x, x2) -> float:
-    """Scalar kernel value k(x, x2); symmetric, equals 1 at x == x2."""
-    return float(cross_gram(spec, np.atleast_2d(x), np.atleast_2d(x2))[0, 0])
 
 
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:

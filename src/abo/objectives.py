@@ -208,15 +208,3 @@ def bump_linear_preset() -> ObjectiveSpec:
     centers = np.concatenate([trend_centers, [0.2]])[:, None]
     weights = np.concatenate([trend_weights, [0.55]])
     return _build_spec(kernel, centers, weights, target_norm=2.0)
-
-
-def regret_metrics(trace, spec: ObjectiveSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Simple and cumulative regret recomputed from the trace inputs."""
-    X = np.asarray(trace.X, dtype=float)
-    if X.size == 0:
-        raise ValueError("trace is empty")
-    f_vals = evaluate_objective(spec, X)
-    inst = spec.f_max - f_vals
-    simple = np.minimum.accumulate(inst)
-    cumulative = np.cumsum(inst)
-    return simple, cumulative

@@ -1,11 +1,8 @@
 import math
 
-import numpy as np
 import pytest
 
-from abo.confidence import ConfidenceParams, beta_sqrt, confidence_interval
-from abo.gp import GaussianProcess
-from abo.kernels import KernelSpec
+from abo.confidence import ConfidenceParams, beta_sqrt
 
 
 class TestParams:
@@ -59,24 +56,3 @@ class TestBetaSqrt:
         assert beta_sqrt(
             ConfidenceParams(delta=0.1, noise_sigma=0.1, norm_bound=2.0), 1.0
         ) > base
-
-
-class TestConfidenceInterval:
-    def test_prior_interval(self):
-        gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1)
-        p = ConfidenceParams(delta=0.9, noise_sigma=0.1, norm_bound=2.0)
-        lo, hi = confidence_interval(gp, p, [0.5])
-        width = 2.0 + 0.4 * math.sqrt(1.0 + math.log(10.0 / 9.0))
-        assert lo == pytest.approx(-width, abs=1e-9)
-        assert hi == pytest.approx(width, abs=1e-9)
-
-    def test_interval_centers_on_mean_and_shrinks(self):
-        gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1)
-        p = ConfidenceParams(delta=0.9, noise_sigma=0.1, norm_bound=2.0)
-        _, hi_before = confidence_interval(gp, p, [0.0])
-        gp = gp.add_observation([0.0], 1.0)
-        lo, hi = confidence_interval(gp, p, [0.0])
-        mean, _ = gp.posterior_mean_var([0.0])
-        assert lo < mean < hi
-        # beta grows with information but the sigma collapse dominates here
-        assert hi - lo < 2 * hi_before

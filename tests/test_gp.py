@@ -6,7 +6,14 @@ from abo import algorithms, cli, kernels
 from abo import gp as gp_module
 from abo.errors import DimensionMismatchError, InvalidObservationError, SingularModelError
 from abo.gp import GaussianProcess, chol_with_jitter, factorize
-from abo.kernels import KernelSpec, cross_gram, gram_matrix, profile, sq_distance_by_product
+from abo.kernels import (
+    KernelSpec,
+    cross_gram,
+    gram_matrix,
+    product_terms,
+    profile,
+    sq_distance_by_terms,
+)
 
 KERNELS = [("se", None), ("matern", 1.5), ("matern", 2.5)]
 
@@ -28,8 +35,9 @@ def full_passes_over(calls, cand):
 
 def one_pass_reference(gp, Xq):
     """The posterior's steps over every query row, with the distances from
-    ``sq_distance_by_product`` rather than the state's cached terms."""
-    sq = sq_distance_by_product(Xq, gp.X, gp.kernel.lengthscales)
+    freshly computed ``product_terms`` rather than the state's cached ones."""
+    ls = gp.kernel.lengthscales
+    sq = sq_distance_by_terms(Xq, product_terms(gp.X, ls), ls)
     Kx = profile(gp.kernel, sq)
     mean = Kx @ gp._alpha
     V = np.matmul(Kx, gp._L_inv.T, out=sq)

@@ -5,12 +5,12 @@ from abo.errors import DimensionMismatchError, InvalidSpecError
 from abo.kernels import (
     KernelSpec,
     cross_gram,
-    evaluate,
     gram_matrix,
     interpolant_norm,
+    product_terms,
     profile,
     rkhs_norm_of_expansion,
-    sq_distance_by_product,
+    sq_distance_by_terms,
 )
 
 
@@ -20,6 +20,11 @@ def se(*ls):
 
 def matern(nu, *ls):
     return KernelSpec(lengthscales=np.asarray(ls, dtype=float), family="matern", nu=nu)
+
+
+def evaluate(spec, x, x2):
+    """Scalar kernel value k(x, x2), from a 1 x 1 ``cross_gram``."""
+    return float(cross_gram(spec, np.atleast_2d(x), np.atleast_2d(x2))[0, 0])
 
 
 class TestEvaluate:
@@ -161,7 +166,7 @@ class TestSqDistanceByProduct:
         rng = np.random.default_rng(d)
         X = rng.uniform(size=(40, d))
         Q = np.vstack([rng.uniform(size=(100, d)), X])  # ends with copies of X
-        sq = sq_distance_by_product(Q, X, spec.lengthscales)
+        sq = sq_distance_by_terms(Q, product_terms(X, spec.lengthscales), spec.lengthscales)
         assert np.all(sq >= 0.0)
         np.testing.assert_allclose(profile(spec, sq), cross_gram(spec, Q, X), rtol=0, atol=tol)
         # not exactly 0: a.a from the product and from the norms round apart

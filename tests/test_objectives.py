@@ -13,7 +13,6 @@ from abo.objectives import (
     evaluate_objective,
     make_gp_sample_function,
     make_rkhs_function,
-    regret_metrics,
 )
 
 
@@ -189,34 +188,3 @@ class TestSerialization:
         assert back["true_norm"] == obj.true_norm
         np.testing.assert_array_equal(back["centers"], obj.centers)
         np.testing.assert_array_equal(back["weights"], obj.weights)
-
-
-class _FakeTrace:
-    def __init__(self, X):
-        self.X = X
-
-
-class TestRegretMetrics:
-    def test_hit_optimum_immediately(self):
-        obj = bump_linear_preset()
-        trace = _FakeTrace([obj.x_star, [0.9], [0.5]])
-        simple, cumulative = regret_metrics(trace, obj)
-        assert simple[0] <= 1e-9
-        assert np.all(simple <= 1e-9)
-
-    def test_constant_regret_accumulates_linearly(self):
-        obj = bump_linear_preset()
-        x = np.array([0.5])
-        r = obj.f_max - evaluate_objective(obj, x)
-        trace = _FakeTrace([x] * 5)
-        simple, cumulative = regret_metrics(trace, obj)
-        np.testing.assert_allclose(cumulative, r * np.arange(1, 6), rtol=1e-12)
-
-    def test_monotonicity(self):
-        rng = np.random.default_rng(3)
-        obj = bump_linear_preset()
-        trace = _FakeTrace(list(rng.uniform(size=(20, 1))))
-        simple, cumulative = regret_metrics(trace, obj)
-        assert np.all(np.diff(simple) <= 0)
-        assert np.all(np.diff(cumulative) >= 0)
-        assert np.all(simple >= -1e-6)
