@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .kernels import SQUARED_EXPONENTIAL, KernelSpec
-
 log = logging.getLogger(__name__)
 
 REGRET_BOUND = "regret_bound"
@@ -67,14 +65,6 @@ def c1_constant(noise_sigma: float) -> float:
     return 8.0 / math.log(1.0 + noise_sigma**-2)
 
 
-def gamma_exponent(kernel: KernelSpec) -> float:
-    """Exponent of g in the scaled information gain (g/g_prev)^e I_prev:
-    d for the squared-exponential kernel, 2 nu + d for Matern."""
-    if kernel.family == SQUARED_EXPONENTIAL:
-        return float(kernel.dim)
-    return 2.0 * kernel.nu + kernel.dim
-
-
 @dataclass
 class ScalingState:
     """Per-run schedule state; h_prev only ever increases."""
@@ -82,7 +72,6 @@ class ScalingState:
     lam: float
     theta0: np.ndarray
     b0: float
-    gamma_exponent: float  # see gamma_exponent(kernel)
     reference_exponent: float = 0.9
     h_prev: float = 1.0
 
@@ -122,7 +111,7 @@ def regret_bound_estimate(
     beta_fn,
     noise_sigma: float,
 ) -> float:
-    """Regret estimate sqrt(C1 t beta_t (g/g_prev)^gamma_exp I_prev).
+    """Regret estimate sqrt(C1 t beta_t (g/g_prev)^d I_prev).
 
     ``mi_prev_theta`` is the mutual information of all collected inputs under
     the previous iteration's lengthscales, those of ``s.h_prev``;
@@ -131,7 +120,7 @@ def regret_bound_estimate(
     """
     g_prev, _ = decompose(s.h_prev, s.lam, s.dim)
     step = scaled_hyperparameters(s, h)
-    scaled_mi = (step.g / g_prev) ** s.gamma_exponent * mi_prev_theta
+    scaled_mi = (step.g / g_prev) ** s.dim * mi_prev_theta
     bs = beta_fn(step.norm_bound, scaled_mi)
     c1 = c1_constant(noise_sigma)
     return math.sqrt(c1 * t * bs**2 * scaled_mi)

@@ -13,6 +13,7 @@ from . import adaptation, hyperparam
 from .adaptation import ESTIMATORS, REGRET_BOUND, ScalingState, Step
 from .confidence import ConfidenceParams, beta_sqrt
 from .gp import GaussianProcess
+from .kernels import KernelSpec
 from .objectives import ObjectiveSpec, evaluate_objective, sobol_points
 from .rng import make_rng
 
@@ -196,8 +197,7 @@ class _RunState:
         self.config = config
         d = objective.dim
         self.theta0 = config.theta0_vector(d)
-        self.kernel0 = objective.kernel.with_lengthscales(self.theta0)
-        self.gp = GaussianProcess(self.kernel0, config.noise_sigma)
+        self.gp = GaussianProcess(KernelSpec(self.theta0), config.noise_sigma)
         self.noise_rng = make_rng(config.seed, tag="noise")
         self.trace = RunTrace(dim=d)
         self.best_f = -np.inf
@@ -258,8 +258,7 @@ class _RunState:
         key = (theta_key, step.norm_bound)
         if key not in self._choices:
             if theta_key not in self._gps:
-                kernel = self.kernel0.with_lengthscales(step.theta)
-                self._gps[theta_key] = self.gp.set_kernel(kernel)
+                self._gps[theta_key] = self.gp.set_kernel(KernelSpec(step.theta))
             gp = self._gps[theta_key]
             bs = self.beta(step.norm_bound, gp.mutual_information())
             x = maximize_ucb(gp, bs, seed=self.config.seed)
@@ -279,7 +278,6 @@ def _agp_policy(state: _RunState):
         theta0=state.theta0,
         b0=config.b0,
         reference_exponent=config.reference_exponent,
-        gamma_exponent=adaptation.gamma_exponent(state.kernel0),
     )
 
     def step(t):

@@ -293,9 +293,9 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
     """Run every (algorithm, seed) cell; returns a summary dict.
 
     Failures are recorded per run; the remaining runs still execute.
-    ``parallel > 1`` runs cells in ``spawn``-started workers with one BLAS
-    thread each, unless the caller set one of ``_BLAS_THREADS``; ``os.environ``
-    is restored afterwards. Workers import ``abo`` afresh, so it must be
+    ``parallel > 1`` runs cells in ``spawn``-started workers, at most one
+    per cell, with one BLAS thread each, unless the caller set one of
+    ``_BLAS_THREADS``; ``os.environ`` is restored afterwards. Workers import ``abo`` afresh, so it must be
     installed or on ``PYTHONPATH`` (a ``sys.path`` edit does not reach them),
     and a calling script needs an ``if __name__ == "__main__":`` guard.
     A ``parallel`` below 1 raises ``ConfigError`` before any run.
@@ -316,7 +316,8 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
         os.environ.update(dict.fromkeys(unset, "1"))
         try:
             spawn = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(parallel, mp_context=spawn) as pool:
+            # a pool sized past a C int overflows multiprocessing's queue
+            with ProcessPoolExecutor(min(parallel, len(cells)), mp_context=spawn) as pool:
                 outcomes = list(pool.map(_run_cell, cells))
         finally:
             for key in unset:
@@ -343,6 +344,9 @@ def _cmd_run(args) -> int:
         results = run_experiment(config, parallel=args.parallel)
     except OSError as exc:  # unreadable config or unwritable output directory
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:  # a config that is not text
+        print(f"error: cannot decode {args.config}: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

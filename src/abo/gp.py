@@ -177,8 +177,7 @@ class GaussianProcess:
     def set_kernel(self, kernel: KernelSpec) -> "GaussianProcess":
         """Same data reinterpreted under a new prior covariance; this state
         itself if the kernel is unchanged."""
-        same = (kernel.family, kernel.nu) == (self.kernel.family, self.kernel.nu)
-        if same and np.array_equal(kernel.lengthscales, self.kernel.lengthscales):
+        if np.array_equal(kernel.lengthscales, self.kernel.lengthscales):
             return self
         return GaussianProcess(kernel, self.noise_sigma, self.X, self.y)
 
@@ -229,7 +228,7 @@ class GaussianProcess:
         n = V.shape[1]
         ls = self.kernel.lengthscales
         sq = kernels.sq_distance_by_terms(parent.cand, kernels.product_terms(self.X[t - 1 :], ls), ls)
-        k = kernels.profile(self.kernel, sq)[:, 0]
+        k = kernels.profile(sq)[:, 0]
         l = self._L[t - 1, :t]
         v = (k - l[: t - 1] @ V) / l[t - 1]
         # resize reallocates; an array this large is remapped, not copied, so
@@ -248,7 +247,7 @@ class GaussianProcess:
             self._L_inv, _ = dtrtrs(self._L, np.eye(t), lower=1)
             self._terms = kernels.product_terms(self.X, self.kernel.lengthscales)
         sq = kernels.sq_distance_by_terms(Xq, self._terms, self.kernel.lengthscales)
-        Kx = kernels.profile(self.kernel, sq)  # (n, t)
+        Kx = kernels.profile(sq)  # (n, t)
         mean = Kx @ self._alpha
         # written over sq, which is no longer needed, to spare one fresh
         # (n, t) array

@@ -62,7 +62,7 @@ def _log_posterior(state: GaussianProcess, prior: LengthscalePrior):
     def objective(theta: np.ndarray) -> float:
         key = theta.tobytes()
         if key not in memo:
-            K = kernels.profile(state.kernel, kernels.sq_distance(diff, theta))
+            K = kernels.profile(kernels.sq_distance(diff, theta))
             try:
                 *_, lml = factorize(K, state.noise_sigma, state.y)
                 memo[key] = lml + prior.log_density(theta)

@@ -1,34 +1,25 @@
-"""Stationary kernels with per-dimension lengthscales.
+"""The squared-exponential (SE) kernel with per-dimension lengthscales.
 
-All kernels are normalized so that k(x, x) = 1; any output scale is carried
+The kernel is normalized so that k(x, x) = 1; any output scale is carried
 by the RKHS norm bound instead of a signal variance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSpecError, NumericalError
-
-SQUARED_EXPONENTIAL = "se"
-MATERN = "matern"
-
-# Matern smoothness values with closed-form (polynomial x exponential)
-# expressions; other values would need modified Bessel functions.
-_MATERN_CLOSED_FORM = (1.5, 2.5)
 
 GRAM_JITTER = 1e-10
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus strictly positive lengthscale vector."""
+    """A read-only, strictly positive lengthscale vector."""
 
     lengthscales: np.ndarray
-    family: str = SQUARED_EXPONENTIAL
-    nu: float | None = None
 
     def __post_init__(self):
         ls = np.atleast_1d(np.array(self.lengthscales, dtype=float, copy=True))
@@ -40,21 +31,10 @@ class KernelSpec:
             )
         ls.setflags(write=False)
         object.__setattr__(self, "lengthscales", ls)
-        if self.family == MATERN:
-            if self.nu not in _MATERN_CLOSED_FORM:
-                raise InvalidSpecError(
-                    f"Matern nu={self.nu} unsupported; closed forms exist "
-                    f"for nu in {_MATERN_CLOSED_FORM}"
-                )
-        elif self.family != SQUARED_EXPONENTIAL:
-            raise InvalidSpecError(f"unknown kernel family {self.family!r}")
 
     @property
     def dim(self) -> int:
         return self.lengthscales.shape[0]
-
-    def with_lengthscales(self, lengthscales) -> "KernelSpec":
-        return replace(self, lengthscales=np.asarray(lengthscales, dtype=float))
 
 
 def _check_points(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
@@ -99,24 +79,17 @@ def sq_distance_by_terms(X: np.ndarray, terms, lengthscales) -> np.ndarray:
     return np.maximum(sq, 0.0, out=sq)
 
 
-def profile(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
-    """Kernel values as a function of squared scaled distance."""
-    if spec.family == SQUARED_EXPONENTIAL:
-        K = -0.5 * sq
-        return np.exp(K, out=K)  # in place: one fresh (n, t) array, not two
-    s = np.sqrt(sq)
-    if spec.nu == 1.5:
-        r = np.sqrt(3.0) * s
-        return (1.0 + r) * np.exp(-r)
-    r = np.sqrt(5.0) * s
-    return (1.0 + r + r * r / 3.0) * np.exp(-r)
+def profile(sq: np.ndarray) -> np.ndarray:
+    """Kernel values exp(-sq / 2) of squared scaled distances."""
+    K = -0.5 * sq
+    return np.exp(K, out=K)  # in place: one fresh (n, t) array, not two
 
 
 def cross_gram(spec: KernelSpec, X, X2) -> np.ndarray:
     """Kernel matrix k(X_i, X2_j) of shape (n, m)."""
     X = _check_points(spec, X)
     X2 = _check_points(spec, X2)
-    return profile(spec, sq_distance(X[:, None, :] - X2[None, :, :], spec.lengthscales))
+    return profile(sq_distance(X[:, None, :] - X2[None, :, :], spec.lengthscales))
 
 
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:

@@ -245,9 +245,7 @@ def test_criterion_7_schedule_algebra():
 
     worst_root = 0.0
     for t, coef, power in [(10, 0.5, 2.0), (50, 0.2, 1.0), (200, 1.0, 3.0)]:
-        s = ScalingState(
-            lam=0.1, theta0=np.array([1.0, 1.0]), b0=2.0, gamma_exponent=2.0
-        )
+        s = ScalingState(lam=0.1, theta0=np.array([1.0, 1.0]), b0=2.0)
         p = float(t) ** 0.9
         analytic = min(max((p / coef) ** (1.0 / power), 1.0), h_cap(t))
         h = solve_h(s, t, lambda hh: coef * hh**power)

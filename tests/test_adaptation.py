@@ -7,7 +7,6 @@ from abo.adaptation import (
     ScalingState,
     c1_constant,
     decompose,
-    gamma_exponent,
     h_cap,
     one_step_estimate,
     reference_regret,
@@ -18,11 +17,11 @@ from abo.adaptation import (
 )
 from abo.confidence import ConfidenceParams, beta_sqrt
 from abo.gp import GaussianProcess
-from abo.kernels import MATERN, KernelSpec
+from abo.kernels import KernelSpec
 
 
 def state(**kwargs):
-    defaults = dict(lam=0.1, theta0=np.ones(1), b0=2.0, gamma_exponent=1.0)
+    defaults = dict(lam=0.1, theta0=np.ones(1), b0=2.0)
     defaults.update(kwargs)
     return ScalingState(**defaults)
 
@@ -144,17 +143,14 @@ class TestRegretBoundEstimate:
         got = regret_bound_estimate(s, h, t, mi, self.beta_fn, noise_sigma=0.1)
         assert got == pytest.approx(expect, rel=1e-12)
 
-    def test_matern_exponent(self):
-        # Matern nu = 2.5 scales the information gain by (g/g_prev)^(2 nu + d)
-        kernel = KernelSpec(np.ones(2), family=MATERN, nu=2.5)
-        assert gamma_exponent(kernel) == 7.0
-        assert gamma_exponent(KernelSpec(np.ones(2))) == 2.0
-        s = state(theta0=np.ones(2), gamma_exponent=gamma_exponent(kernel))
+    def test_scales_information_gain_from_previous_g(self):
+        # past h_prev = 1.5, the information gain scales by (g/g_prev)^d
+        s = state(theta0=np.ones(2))
         s.accept(1.5)
         h, t, mi = 3.0, 10, 1.5
         g_prev, _ = decompose(1.5, s.lam, 2)
         g, b = decompose(h, s.lam, 2)
-        scaled_mi = (g / g_prev) ** 7 * mi
+        scaled_mi = (g / g_prev) ** 2 * mi
         bs = self.beta_fn(b * g**2 * s.b0, scaled_mi)
         expect = math.sqrt(c1_constant(0.1) * t * bs**2 * scaled_mi)
         got = regret_bound_estimate(s, h, t, mi, self.beta_fn, noise_sigma=0.1)
@@ -218,7 +214,7 @@ def sigma_under(gp, x_next):
 
     def sigma_at(c):
         seen.append(c)
-        shrunk = gp.kernel.with_lengthscales(gp.kernel.lengthscales / c)
+        shrunk = KernelSpec(gp.kernel.lengthscales / c)
         _, var = gp.set_kernel(shrunk).posterior_mean_var(x_next)
         return math.sqrt(var)
 

@@ -173,7 +173,7 @@ class TestRunTraces:
         X, y = np.asarray(trace.X), np.asarray(trace.y)
         for i in np.flatnonzero(trace.bo_slice()):
             gp = GaussianProcess(
-                obj.kernel.with_lengthscales(trace.theta[i]), config.noise_sigma,
+                KernelSpec(trace.theta[i]), config.noise_sigma,
                 X[:i], y[:i],
             )
             norm_bound = config.b0

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ class TestTraceIO:
         ]
         header = "iter,simple_mean,simple_std,cumulative_mean,cumulative_std"
         expected = [f"# generator: {GENERATOR_NAME}", "# seeds: 11", header] + rows
-        assert open(path).read() == "\n".join(expected) + "\n"
+        assert Path(path).read_text() == "\n".join(expected) + "\n"
 
 
 def write_config(tmp_path, text):
@@ -272,7 +273,7 @@ class TestRunExperiment:
             results = run_experiment(config)
             blobs.append(
                 b"".join(
-                    open(p, "rb").read() for p in sorted(results["traces"]["fixed"])
+                    Path(p).read_bytes() for p in sorted(results["traces"]["fixed"])
                 )
             )
         assert blobs[0] == blobs[1]
@@ -281,12 +282,14 @@ class TestRunExperiment:
         config = parse_config(SMALL_CONFIG)
         config.output_dir = str(tmp_path / "serial")
         run_experiment(config, parallel=1)
-        config.output_dir = str(tmp_path / "par")
-        run_experiment(config, parallel=2)
-        for seed in (0, 1):
-            a = open(tmp_path / "serial" / f"fixed_seed{seed}.csv", "rb").read()
-            b = open(tmp_path / "par" / f"fixed_seed{seed}.csv", "rb").read()
-            assert a == b
+        # 2**31 is past a C int; the pool is sized by the 2 cells
+        for parallel in (2, 2**31):
+            config.output_dir = str(tmp_path / f"par{parallel}")
+            assert not run_experiment(config, parallel=parallel)["failures"]
+            for seed in (0, 1):
+                name = f"fixed_seed{seed}.csv"
+                a = (tmp_path / "serial" / name).read_bytes()
+                assert (tmp_path / f"par{parallel}" / name).read_bytes() == a
 
     def test_parallel_restores_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
@@ -308,7 +311,7 @@ class TestRunExperiment:
                 monkeypatch.setenv("ABO_SEED_OFFSET", value)
             out = config.output_dir = str(tmp_path / value)
             assert not run_experiment(config)["failures"]
-            blobs.append({n: open(os.path.join(out, n), "rb").read() for n in os.listdir(out)})
+            blobs.append({n: Path(out, n).read_bytes() for n in os.listdir(out)})
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_algorithm_names_must_not_repeat(self):
@@ -318,13 +321,20 @@ class TestRunExperiment:
 
 
 class TestCommandLine:
-    def test_run_exit_codes(self, tmp_path):
+    def test_run_exit_codes(self, tmp_path, capsys):
         good = write_config(tmp_path, SMALL_CONFIG)
         out = str(tmp_path / "out")
         assert main(["run", "--config", good, "--out", out]) == 0
         bad = write_config(tmp_path, "delta = oops\n")
         assert main(["run", "--config", bad, "--out", out]) == 2
         assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
+        undecodable = tmp_path / "utf16.ini"
+        undecodable.write_bytes(b"\xff\xfe" + "seeds = 0\n".encode("utf-16-le"))
+        capsys.readouterr()
+        assert main(["run", "--config", str(undecodable), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot decode {undecodable}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("parallel", ["0", "-2"])
     def test_run_rejects_parallel_below_one(self, tmp_path, capsys, parallel):
@@ -401,9 +411,9 @@ class TestCommandLine:
         out = str(tmp_path / "out")
         main(["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", out])
         summary = os.path.join(out, "fixed_summary.csv")
-        before = open(summary, "rb").read()
+        before = Path(summary).read_bytes()
         assert main(["summarize", out]) == 0
-        assert open(summary, "rb").read() == before
+        assert Path(summary).read_bytes() == before
 
     @pytest.mark.parametrize(
         "name, seeds", [("fixed_seeded", "0, 1"), ("fixed", "-1, 0")],
@@ -417,21 +427,21 @@ class TestCommandLine:
         out = str(tmp_path / "out")
         assert main(["run", "--config", write_config(tmp_path, text), "--out", out]) == 0
         summary = os.path.join(out, f"{name}_summary.csv")
-        before = open(summary, "rb").read()
+        before = Path(summary).read_bytes()
         capsys.readouterr()
         assert main(["summarize", out]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out.startswith(f"{name}: 2 seeds, ")
-        assert open(summary, "rb").read() == before
+        assert Path(summary).read_bytes() == before
 
     def test_summarize_skips_short_trace(self, tmp_path, capsys):
         text = SMALL_CONFIG.replace("seeds = 0, 1", "seeds = 0, 1, 2")
         out = str(tmp_path / "out")
         main(["run", "--config", write_config(tmp_path, text), "--out", out])
         short = os.path.join(out, "fixed_seed1.csv")
-        lines = open(short).read().splitlines(keepends=True)
-        open(short, "w").write("".join(lines[:-2]))  # a run stopped early
+        lines = Path(short).read_text().splitlines(keepends=True)
+        Path(short).write_text("".join(lines[:-2]))  # a run stopped early
         capsys.readouterr()
         assert main(["summarize", out]) == 1
         captured = capsys.readouterr()
@@ -448,9 +458,9 @@ class TestCommandLine:
         out = str(tmp_path / "out")
         main(["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", out])
         cut = os.path.join(out, "fixed_seed1.csv")
-        lines = open(cut).read().splitlines(keepends=True)
+        lines = Path(cut).read_text().splitlines(keepends=True)
         # an interrupted copy: three whole rows, then half of the fourth
-        open(cut, "w").write("".join(lines[:4]) + lines[4][: len(lines[4]) // 2])
+        Path(cut).write_text("".join(lines[:4]) + lines[4][: len(lines[4]) // 2])
         capsys.readouterr()
         assert main(["summarize", out]) == 1
         captured = capsys.readouterr()
@@ -466,7 +476,7 @@ class TestCommandLine:
         out = str(tmp_path / "out")
         main(["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", out])
         cut = os.path.join(out, "fixed_seed1.csv")
-        open(cut, "w").write(text)  # an interrupted copy, before the header
+        Path(cut).write_text(text)  # an interrupted copy, before the header
         capsys.readouterr()
         assert main(["summarize", out]) == 1
         captured = capsys.readouterr()
@@ -484,7 +494,7 @@ class TestCommandLine:
         out = str(tmp_path / "out")
         main(["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", out])
         other = os.path.join(out, "foo_seed0.csv")
-        open(other, "w").write(f"{header}\n1,2\n")
+        Path(other).write_text(f"{header}\n1,2\n")
         capsys.readouterr()
         assert main(["summarize", out]) == 1
         captured = capsys.readouterr()
