@@ -1,6 +1,40 @@
+import numpy as np
 import pytest
 
+from abo import kernels
 from abo.gp import GaussianProcess
+
+
+def matern_profile(nu):
+    """The Matern closed form for nu = 1.5 or 2.5 as a function of squared
+    scaled distance: a second stationary profile, kept here because the
+    library itself has only the squared-exponential one."""
+
+    def profile(sq):
+        s = np.sqrt(sq)
+        if nu == 1.5:
+            r = np.sqrt(3.0) * s
+            return (1.0 + r) * np.exp(-r)
+        r = np.sqrt(5.0) * s
+        return (1.0 + r + r * r / 3.0) * np.exp(-r)
+
+    return profile
+
+
+@pytest.fixture
+def use_profile(monkeypatch):
+    """use(nu) puts the Matern profile of that nu, or for None keeps the SE
+    one, in ``kernels.profile``, the one place where the library turns
+    squared distances into kernel values, and returns it. The GP, the MAP
+    search and the kernel matrices must then keep their bit contracts for
+    any stationary profile, not just the SE one."""
+
+    def use(nu):
+        if nu is not None:
+            monkeypatch.setattr(kernels, "profile", matern_profile(nu))
+        return kernels.profile
+
+    return use
 
 
 @pytest.fixture

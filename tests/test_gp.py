@@ -11,9 +11,11 @@ from abo.kernels import (
     cross_gram,
     gram_matrix,
     product_terms,
-    profile,
     sq_distance_by_terms,
 )
+
+# every kernel profile a parametrised test runs under, by nu; see use_profile
+PROFILES = pytest.mark.parametrize("nu", [None, 1.5, 2.5], ids=["se-None", "matern-1.5", "matern-2.5"])
 
 
 def make_gp(noise=0.1, d=1):
@@ -36,7 +38,7 @@ def one_pass_reference(gp, Xq):
     freshly computed ``product_terms`` rather than the state's cached ones."""
     ls = gp.kernel.lengthscales
     sq = sq_distance_by_terms(Xq, product_terms(gp.X, ls), ls)
-    Kx = profile(sq)
+    Kx = kernels.profile(sq)
     mean = Kx @ gp._alpha
     V = np.matmul(Kx, gp._L_inv.T, out=sq)
     return mean, np.clip(1.0 - np.einsum("nt,nt->n", V, V), 0.0, 1.0)
@@ -92,10 +94,11 @@ class TestPosterior:
             gp.posterior([[np.nan, 0.5]])
 
     @pytest.mark.parametrize("t", [1, 25, 100])
-    # the ids keep their old "None-" prefix, the nu of the SE cases
-    @pytest.mark.parametrize("sigma", [0.1, 1e-2, 1e-3], ids=lambda s: f"None-{s}")
-    def test_matches_cross_gram_and_triangular_solve(self, sigma, t):
+    @pytest.mark.parametrize("sigma", [0.1, 1e-2, 1e-3])
+    @pytest.mark.parametrize("nu", [None, 2.5])
+    def test_matches_cross_gram_and_triangular_solve(self, use_profile, nu, sigma, t):
         # the difference-form kernel and one triangular solve per query batch
+        use_profile(nu)
         spec = KernelSpec(np.full(3, 0.3))
         rng = np.random.default_rng(t)
         X = rng.uniform(size=(t, 3))
@@ -128,11 +131,12 @@ class TestPosterior:
         assert calls == [(10, 10)]
 
     @pytest.mark.parametrize("n", [1, 511, 512, 513, 1280, 4352])
-    # the ids keep the kernel family the cases were named with
-    @pytest.mark.parametrize("d", [1, 4], ids=lambda d: f"{d}-se-None")
-    def test_blocks_keep_unblocked_bits(self, d, n):
+    @PROFILES
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_blocks_keep_unblocked_bits(self, use_profile, d, nu, n):
         # every query row has the reference's bits, whatever n and t; the name
         # is kept from the row-block days so the test ids stay stable
+        use_profile(nu)
         rng = np.random.default_rng(n + d)
         Xq = rng.uniform(size=(n, d))
         kernel = KernelSpec(np.full(d, 0.3))
@@ -185,9 +189,10 @@ class TestCarriedScan:
         np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-10)
         np.testing.assert_allclose(var, ref_var, rtol=0, atol=1e-10)
 
-    # the ids keep the kernel family the cases were named with
-    @pytest.mark.parametrize("d", [1, 4], ids=lambda d: f"{d}-se-None")
-    def test_extension_matches_rescan(self, d, full_passes):
+    @PROFILES
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_extension_matches_rescan(self, use_profile, d, nu, full_passes):
+        use_profile(nu)
         rng = np.random.default_rng(d)
         cand = read_only(rng.uniform(size=(700, d)))
         gp = GaussianProcess(KernelSpec(np.full(d, 0.3)), 0.1)

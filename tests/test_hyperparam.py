@@ -66,11 +66,13 @@ def gp_path_log_posterior(state, prior, theta):
 
 
 class TestLogPosterior:
-    # the ids keep the kernel family the cases were named with
-    @pytest.mark.parametrize("d", [1, 2], ids=lambda d: f"{d}-se")
+    # nu picks the kernel profile, see use_profile; the data are SE draws
+    @pytest.mark.parametrize("nu", [1.5, 2.5, None], ids=["matern15", "matern25", "se"])
+    @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("t", [0, 1, 25])
-    def test_bit_identical_to_gp_path(self, d, t):
+    def test_bit_identical_to_gp_path(self, use_profile, nu, d, t):
         X, y = sample_from(np.full(d, 0.3), t, seed=t + d)
+        use_profile(nu)
         state = GaussianProcess(KernelSpec(np.ones(d)), 0.05, X, y)
         prior = LengthscalePrior()
         objective = _log_posterior(state, prior)

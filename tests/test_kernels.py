@@ -8,7 +8,6 @@ from abo.kernels import (
     gram_matrix,
     interpolant_norm,
     product_terms,
-    profile,
     rkhs_norm_of_expansion,
     sq_distance_by_terms,
 )
@@ -122,9 +121,11 @@ class TestCrossGram:
 class TestSqDistanceByProduct:
     # rounding of |a|^2 + |b|^2 - 2 a.b grows as d * eps / l^2
     @pytest.mark.parametrize("ls, tol", [(1.0, 1e-12), (0.3, 1e-12), (0.1, 1e-12), (0.01, 1e-10)])
-    # the ids keep their old "None-" prefix, the nu of the SE cases
-    @pytest.mark.parametrize("d", [1, 2, 3, 4], ids=lambda d: f"None-{d}")
-    def test_agrees_with_difference_form(self, d, ls, tol):
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    # the product-form distances must serve any stationary profile, see use_profile
+    @pytest.mark.parametrize("nu", [None, 1.5, 2.5])
+    def test_agrees_with_difference_form(self, use_profile, nu, d, ls, tol):
+        profile = use_profile(nu)
         spec = se(*[ls] * d)
         rng = np.random.default_rng(d)
         X = rng.uniform(size=(40, d))
