@@ -1,12 +1,12 @@
 """Adaptive Bayesian optimization with expanding GP hyperparameter classes."""
 
+from .adaptation import beta_sqrt
 from .algorithms import (
     AlgorithmConfig,
     RunTrace,
     maximize_ucb,
     run,
 )
-from .confidence import ConfidenceParams, beta_sqrt
 from .gp import GaussianProcess
 from .kernels import KernelSpec, gram_matrix, rkhs_norm_of_expansion
 from .objectives import (
@@ -19,7 +19,6 @@ from .objectives import (
 
 __all__ = [
     "AlgorithmConfig",
-    "ConfidenceParams",
     "GaussianProcess",
     "KernelSpec",
     "ObjectiveSpec",

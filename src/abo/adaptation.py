@@ -60,6 +60,27 @@ def decompose(h: float, lam: float, d: int) -> tuple[float, float]:
     return g, b
 
 
+def beta_sqrt(
+    norm_bound: float, mutual_info: float, noise_sigma: float, delta: float
+) -> float:
+    """Width multiplier B + 4 sigma sqrt(I + 1 + ln(1/delta)).
+
+    Strictly increasing in the norm bound, noise, mutual information,
+    and 1/delta.
+    """
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    if noise_sigma < 0:
+        raise ValueError("noise_sigma must be nonnegative")
+    if norm_bound <= 0:
+        raise ValueError("norm_bound must be positive")
+    if mutual_info < 0:
+        raise ValueError("mutual_info must be nonnegative")
+    return norm_bound + 4.0 * noise_sigma * math.sqrt(
+        mutual_info + 1.0 + math.log(1.0 / delta)
+    )
+
+
 def c1_constant(noise_sigma: float) -> float:
     """Regret-bound constant 8 / ln(1 + sigma^-2)."""
     return 8.0 / math.log(1.0 + noise_sigma**-2)
@@ -126,15 +147,14 @@ def regret_bound_estimate(
     return math.sqrt(c1 * t * bs**2 * scaled_mi)
 
 
-def one_step_estimate(history, candidate: tuple[float, float]) -> float:
-    """Sum of frozen instantaneous-regret bounds plus the candidate term.
+def one_step_estimate(frozen: float, bs: float, sigma: float) -> float:
+    """Frozen instantaneous-regret bounds plus the candidate term 2 bs sigma.
 
-    ``history`` holds the values 2 beta_j^{1/2} sigma_j(x_{j+1}) frozen at
-    past iterations; ``candidate`` is (beta_sqrt_t(h), sigma_t at the input
-    the UCB rule would pick under h).
+    ``frozen`` is the sum of 2 beta_j^{1/2} sigma_j(x_j) over past steps,
+    added in step order; ``bs`` is beta_t^{1/2}(h) and ``sigma`` sigma_t at
+    the input the UCB rule would pick under h.
     """
-    bs, sigma = candidate
-    return float(sum(history)) + 2.0 * bs * sigma
+    return frozen + 2.0 * bs * sigma
 
 
 def solve_h(s: ScalingState, t: int, estimator_eval) -> float:
@@ -170,8 +190,10 @@ def wang_baseline_scale(kappa: float, sigma_at) -> float:
     chosen under lengthscales shrunk by c. Searches a geometric grid with
     ratio 1.05 up to a cap of 10^3.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < 1:
+        # the unit-variance kernel keeps sigma <= 1, so kappa >= 1 only
+        # ever reaches the cap
+        raise ValueError(f"kappa must lie in (0, 1), got {kappa!r}")
     c = 1.0
     while c <= WANG_CAP:
         if sigma_at(c) >= kappa:

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import adaptation, hyperparam
-from .adaptation import ESTIMATORS, REGRET_BOUND, ScalingState, Step
-from .confidence import ConfidenceParams, beta_sqrt
+from .adaptation import ESTIMATORS, REGRET_BOUND, ScalingState, Step, beta_sqrt
 from .gp import GaussianProcess
 from .kernels import KernelSpec
 from .objectives import ObjectiveSpec, evaluate_objective, sobol_points
@@ -37,7 +36,7 @@ _REFINE_ITERS = 20
 _REFINE_STEP = 0.25
 _REFINE_SHRINK = 0.65
 
-_POSITIVE = ("beta_constant", "b0", "noise_sigma", "kappa", "prior_shape", "prior_rate")
+_POSITIVE = ("beta_constant", "b0", "noise_sigma", "prior_shape", "prior_rate")
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ class AlgorithmConfig:
             raise ValueError(f"theta0 must be positive and finite, got {self.theta0!r}")
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"lambda must be >= 0 and finite, got {self.lam!r}")
-        for key in ("delta", "reference_exponent"):
+        for key in ("delta", "reference_exponent", "kappa"):
             value = getattr(self, key)
             if not 0 < value < 1:
                 raise ValueError(f"{key} must lie in (0, 1), got {value!r}")
@@ -205,8 +204,9 @@ class _RunState:
         self.prior = hyperparam.LengthscalePrior(
             config.prior_shape, config.prior_rate
         )
-        # 2 beta_t^{1/2} sigma_t(x_t) of every optimization step so far
-        self.widths: list[float] = []
+        # sum of 2 beta_t^{1/2} sigma_t(x_t) over the optimization steps so
+        # far, added in step order
+        self.frozen = 0.0
         # (theta bytes, norm bound) -> choice on the current data
         self._choices: dict = {}
         # theta bytes -> GP under theta on the current data, which keeps its
@@ -243,10 +243,7 @@ class _RunState:
     def beta(self, norm_bound: float, mi: float) -> float:
         if self.config.beta_mode == BETA_EMPIRICAL:
             return self.config.beta_constant
-        params = ConfidenceParams(
-            self.config.delta, self.config.noise_sigma, norm_bound
-        )
-        return beta_sqrt(params, mi)
+        return beta_sqrt(norm_bound, mi, self.config.noise_sigma, self.config.delta)
 
     def map_theta(self) -> np.ndarray:
         return hyperparam.map_estimate(self.gp, self.prior, init=self.theta0).theta_map
@@ -303,7 +300,7 @@ def _agp_policy(state: _RunState):
 
             def estimator_eval(hh):
                 _, bs_h, _, sigma_h = state.choice(hyperparameters(hh))
-                return adaptation.one_step_estimate(state.widths, (bs_h, sigma_h))
+                return adaptation.one_step_estimate(state.frozen, bs_h, sigma_h)
 
         h = adaptation.solve_h(scaling, t, estimator_eval)
         scaling.accept(h)
@@ -362,5 +359,5 @@ def run(objective: ObjectiveSpec, config: AlgorithmConfig) -> RunTrace:
         state.gp, bs, x_next, sigma = state.choice(step)
         if not state.observe(t, x_next, bs, step):
             break
-        state.widths.append(2.0 * bs * sigma)
+        state.frozen += 2.0 * bs * sigma
     return state.trace

@@ -258,10 +258,10 @@ def read_table(path: str) -> dict:
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
-def _write_summary(name: str, paths: list[str], out_dir: str):
-    """Per-iteration mean/std of simple and cumulative regret across seeds;
-    returns the summary's path and table."""
-    traces = [read_table(p) for p in sorted(paths)]
+def _write_summary(name: str, traces: list[dict], out_dir: str):
+    """Per-iteration mean/std of simple and cumulative regret across the
+    parsed traces, in the order of their sorted paths; returns the
+    summary's path and table."""
     columns = [traces[0]["iter"]]
     for key in ("simple_regret", "cumulative_regret"):
         # seeds along the contiguous axis: each row reduces as one 1-d array
@@ -270,7 +270,7 @@ def _write_summary(name: str, paths: list[str], out_dir: str):
     table = np.column_stack(columns)
     path = os.path.join(out_dir, f"{name}_summary.csv")
     header = ["iter", "simple_mean", "simple_std", "cumulative_mean", "cumulative_std"]
-    comments = [f"generator: {GENERATOR_NAME}", f"seeds: {len(paths)}"]
+    comments = [f"generator: {GENERATOR_NAME}", f"seeds: {len(traces)}"]
     _write_table(path, header, table, comments)
     return path, table
 
@@ -331,7 +331,8 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
         if path is not None:
             results["traces"].setdefault(algo.name, []).append(path)
     for name, paths in results["traces"].items():
-        results["summaries"][name] = _write_summary(name, paths, out_dir)[0]
+        tables = [read_table(p) for p in sorted(paths)]
+        results["summaries"][name] = _write_summary(name, tables, out_dir)[0]
     return results
 
 
@@ -387,20 +388,21 @@ def _cmd_summarize(args) -> int:
         return 1
     status = 0
     for name, files in paths.items():
-        rows = {}
+        tables = {}
         for p in files:
             try:
                 table = read_table(p)
                 for key in ("iter", "simple_regret", "cumulative_regret"):
                     if key not in table:
                         raise ValueError(f"no {key!r} column")
-                rows[p] = len(table["iter"])
+                tables[p] = table
             except ValueError as exc:  # not a trace, or cut short by a copy
                 # numpy appends advice on its own API after the first clause
                 print(f"skipped {p}: {str(exc).split(';')[0]}", file=sys.stderr)
                 status = 1
-        if not rows:
+        if not tables:
             continue
+        rows = {p: len(table["iter"]) for p, table in tables.items()}
         full = max(rows.values())
         if full == 0:
             print(f"skipped {name}: every trace has 0 rows", file=sys.stderr)
@@ -410,9 +412,9 @@ def _cmd_summarize(args) -> int:
             if n < full:
                 print(f"skipped {p}: {n} rows, expected {full}", file=sys.stderr)
                 status = 1
-        files = [p for p in rows if rows[p] == full]
+        files = sorted(p for p in rows if rows[p] == full)
         try:
-            summary, table = _write_summary(name, files, args.dir)
+            summary, table = _write_summary(name, [tables[p] for p in files], args.dir)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -43,6 +43,11 @@ CASES["agp_ucb_regret_bound_theoretical"] = (
     "example_rkhs",
     dict(variant="agp_ucb", estimator="regret_bound", b0=0.5, noise_sigma=0.01),
 )
+# the one-step estimate under theoretical beta: its frozen sum varies from
+# step to step, so the order in which it is added shows in h from step 8 on
+CASES["agp_ucb_one_step_theoretical"] = (
+    "example_rkhs", dict(variant="agp_ucb", estimator="one_step")
+)
 CASES["wang_shrink"] = ("example_rkhs", dict(variant="wang_shrink"))
 # MAP over more than one lengthscale
 CASES["agp_ucb_4d_combine_max"] = (

@@ -12,8 +12,8 @@ import time
 
 import numpy as np
 
+from abo.adaptation import beta_sqrt
 from abo.algorithms import AlgorithmConfig, run
-from abo.confidence import ConfidenceParams, beta_sqrt
 from abo.gp import GaussianProcess
 from abo.kernels import KernelSpec, gram_matrix, interpolant_norm
 from abo.objectives import bump_linear_preset, make_gp_sample_function, make_rkhs_function
@@ -85,7 +85,6 @@ def test_criterion_3_interval_coverage():
     start = time.perf_counter()
     kernel = KernelSpec(np.array([0.1]))
     grid = np.linspace(0.0, 1.0, 100)[:, None]
-    params = ConfidenceParams(delta=0.1, noise_sigma=0.1, norm_bound=2.0)
     covered = 0
     n_runs = 50
     for seed in range(n_runs):
@@ -103,7 +102,7 @@ def test_criterion_3_interval_coverage():
         for t in range(1, 31):
             i = int(np.where(iters == t)[0][0])
             gp = GaussianProcess(kernel, 0.1, X[:i], y[:i])
-            bs = beta_sqrt(params, gp.mutual_information())
+            bs = beta_sqrt(2.0, gp.mutual_information(), noise_sigma=0.1, delta=0.1)
             mean, var = gp.posterior(grid)
             half = bs * np.sqrt(var)
             if np.any(np.abs(f_grid - mean) > half):

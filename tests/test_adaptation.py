@@ -5,6 +5,7 @@ import pytest
 
 from abo.adaptation import (
     ScalingState,
+    beta_sqrt,
     c1_constant,
     decompose,
     h_cap,
@@ -15,7 +16,6 @@ from abo.adaptation import (
     solve_h,
     wang_baseline_scale,
 )
-from abo.confidence import ConfidenceParams, beta_sqrt
 from abo.gp import GaussianProcess
 from abo.kernels import KernelSpec
 
@@ -111,9 +111,7 @@ class TestHCap:
 class TestRegretBoundEstimate:
     @staticmethod
     def beta_fn(norm_bound, mi):
-        return beta_sqrt(
-            ConfidenceParams(delta=0.9, noise_sigma=0.1, norm_bound=norm_bound), mi
-        )
+        return beta_sqrt(norm_bound, mi, noise_sigma=0.1, delta=0.9)
 
     def test_c1_constant(self):
         assert c1_constant(0.1) == pytest.approx(8.0 / math.log(101), abs=1e-9)
@@ -159,13 +157,13 @@ class TestRegretBoundEstimate:
 
 class TestOneStepEstimate:
     def test_single_candidate_term(self):
-        assert one_step_estimate([], (2.42, 1.0)) == pytest.approx(4.84)
+        assert one_step_estimate(0.0, 2.42, 1.0) == pytest.approx(4.84)
 
     def test_zero_sigma_candidate(self):
-        assert one_step_estimate([0.5, 0.5, 0.5], (3.0, 0.0)) == pytest.approx(1.5)
+        assert one_step_estimate(1.5, 3.0, 0.0) == pytest.approx(1.5)
 
     def test_history_plus_candidate(self):
-        assert one_step_estimate([0.5, 0.5, 0.5], (0.1, 1.0)) == pytest.approx(1.7)
+        assert one_step_estimate(1.5, 0.1, 1.0) == pytest.approx(1.7)
 
 
 class TestSolveH:
@@ -248,7 +246,7 @@ class TestWangBaselineScale:
     def test_invalid_kappa(self):
         gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1)
         sigma_at, seen = sigma_under(gp, np.array([0.5]))
-        for kappa in (0.0, -0.1):
+        for kappa in (0.0, -0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
                 wang_baseline_scale(kappa, sigma_at)
         assert seen == []

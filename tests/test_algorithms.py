@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from abo import algorithms
+from abo.adaptation import beta_sqrt
 from abo.algorithms import AlgorithmConfig, maximize_ucb, run
 from abo.cli import make_objective
-from abo.confidence import ConfidenceParams, beta_sqrt
 from abo.gp import GaussianProcess
 from abo.kernels import KernelSpec
 from abo.objectives import bump_linear_preset, make_rkhs_function, sobol_points
@@ -179,8 +179,8 @@ class TestRunTraces:
             norm_bound = config.b0
             if variant == "agp_ucb":
                 norm_bound = trace.b[i] * trace.g[i] ** obj.dim * config.b0
-            params = ConfidenceParams(config.delta, config.noise_sigma, norm_bound)
-            bs = beta_sqrt(params, gp.mutual_information())
+            bs = beta_sqrt(norm_bound, gp.mutual_information(),
+                           config.noise_sigma, config.delta)
             assert trace.beta_sqrt[i] == bs
             np.testing.assert_array_equal(maximize_ucb(gp, bs, seed=config.seed), X[i])
 

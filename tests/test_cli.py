@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abo import algorithms
+from abo import algorithms, cli
 from abo.adaptation import Step
 from abo.algorithms import AlgorithmConfig, RunTrace
 from abo.cli import (
@@ -220,7 +220,8 @@ class TestTraceIO:
             path = str(tmp_path / f"a_seed{seed}.csv")
             emit_trace(trace, path)
             regrets[path] = np.column_stack([s, c])
-        path, _ = _write_summary("a", list(regrets), str(tmp_path))
+        tables = [read_table(p) for p in sorted(regrets)]
+        path, _ = _write_summary("a", tables, str(tmp_path))
         by_seed = np.stack([regrets[p] for p in sorted(regrets)], axis=2)
         rows = [
             ",".join([str(i)] + ["%.17g" % v for v in (
@@ -353,6 +354,7 @@ class TestCommandLine:
             ("noise_sigma", "[algorithm.a]\nnoise_sigma = inf"),
             ("theta0", "[algorithm.a]\ntheta0 = 0.5, 0.5"),
             ("init_points", "init_points = -1"),
+            ("kappa", "[algorithm.a]\nvariant = wang_shrink\nkappa = 1.5"),
             ("seeds", "seeds = 0, 0"),
             ("name", "[algorithm.../escaped]\nvariant = fixed_gp_ucb"),
             ("name", "[algorithm.]\nvariant = fixed_gp_ucb"),
@@ -398,6 +400,22 @@ class TestCommandLine:
         main(["run", "--config", good, "--out", out])
         assert main(["summarize", out]) == 0
         assert "fixed" in capsys.readouterr().out
+
+    def test_run_and_summarize_parse_each_trace_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(path):
+            calls.append(path)
+            return read_table(path)
+
+        monkeypatch.setattr(cli, "read_table", spy)
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", write_config(tmp_path, SMALL_CONFIG), "--out", out]) == 0
+        traces = [os.path.join(out, f"fixed_seed{s}.csv") for s in (0, 1)]
+        assert calls == traces
+        calls.clear()
+        assert main(["summarize", out]) == 0
+        assert calls == traces
 
     def test_summarize_empty_dir(self, tmp_path):
         os.makedirs(tmp_path / "empty", exist_ok=True)
