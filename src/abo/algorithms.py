@@ -207,11 +207,10 @@ class _RunState:
         # sum of 2 beta_t^{1/2} sigma_t(x_t) over the optimization steps so
         # far, added in step order
         self.frozen = 0.0
-        # (theta bytes, norm bound) -> choice on the current data
-        self._choices: dict = {}
-        # theta bytes -> GP under theta on the current data, which keeps its
-        # scan for the choices of every norm bound
-        self._gps: dict = {}
+        # theta bytes -> (GP under theta on the current data, its mutual
+        # information, beta^{1/2} -> (UCB argmax, sigma there)); the GP
+        # keeps its scan for the choices of every beta
+        self._memo: dict = {}
         n_init = config.init_points
         if n_init is None:
             n_init = 2**d
@@ -224,8 +223,7 @@ class _RunState:
 
     def observe(self, it, x, bs, step: Step) -> bool:
         """Evaluate x, add it to the GP and record it; False aborts the run."""
-        self._choices.clear()
-        self._gps.clear()
+        self._memo.clear()
         f_val = evaluate_objective(self.objective, x)
         y = f_val + self.config.noise_sigma * self.noise_rng.standard_normal()
         if not np.isfinite(y):
@@ -250,18 +248,19 @@ class _RunState:
 
     def choice(self, step: Step):
         """(GP under the step's theta, beta^{1/2}, the UCB argmax, sigma there)
-        on the data so far; memoized until the next observation."""
-        theta_key = step.theta.tobytes()
-        key = (theta_key, step.norm_bound)
-        if key not in self._choices:
-            if theta_key not in self._gps:
-                self._gps[theta_key] = self.gp.set_kernel(KernelSpec(step.theta))
-            gp = self._gps[theta_key]
-            bs = self.beta(step.norm_bound, gp.mutual_information())
+        on the data so far; memoized by theta and beta^{1/2}, which alone
+        decide the step, until the next observation."""
+        key = step.theta.tobytes()
+        if key not in self._memo:
+            gp = self.gp.set_kernel(KernelSpec(step.theta))
+            self._memo[key] = gp, gp.mutual_information(), {}
+        gp, mi, choices = self._memo[key]
+        bs = self.beta(step.norm_bound, mi)
+        if bs not in choices:
             x = maximize_ucb(gp, bs, seed=self.config.seed)
             _, var = gp.posterior_mean_var(x)
-            self._choices[key] = gp, bs, x, float(np.sqrt(var))
-        return self._choices[key]
+            choices[bs] = x, float(np.sqrt(var))
+        return (gp, bs, *choices[bs])
 
 
 # A policy takes the run state and returns step(t) -> the Step of UCB step t.

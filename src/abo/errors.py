@@ -14,7 +14,7 @@ class DimensionMismatchError(AboError, ValueError):
 
 
 class InvalidObservationError(AboError, ValueError):
-    """An observation value is not finite."""
+    """An input point or observed value is not finite."""
 
 
 class NumericalError(AboError, ArithmeticError):

@@ -24,9 +24,12 @@ row v = (k(cand, x_t) - l[:t-1] V) / l[t-1] in O(n t), in place of the
 full O(n t^2) pass. A state keeps the mean and variance of its query of
 the set, so querying it again (UCB under another beta) makes no second
 pass. It retains V as well only if its parent scanned the same set, so a
-kernel that changes every step never pays for V. The kept arrays have one
-owner: the first child to extend them takes them, a second child of the
-same parent rescans, and callers get copies. An extended row
+kernel that changes every step never pays for V. ``add_observation`` hands
+the scan on at once: the child extends a scan that holds V, and otherwise
+gets an empty scan of the set, whose first query makes a full pass that
+keeps V. The kept arrays have one owner: the first child created takes
+them, a second child of the same parent finds the scan taken and rescans,
+and callers get copies. An extended row
 differs from a rescan's in the last bits (under 1e-12 over 120 steps), so
 traces keep their bits unless an argmax ties within that rounding.
 
@@ -106,11 +109,10 @@ def factorize(K: np.ndarray, noise_sigma: float, y: np.ndarray):
 class _Scan:
     """A state's query of a carried candidate set ``cand``: ``mean`` and
     ``var`` the unclipped posterior there and, if retained, ``V`` (t, n)
-    the rows L^-1 k(X, cand). A child that extends the scan takes all three
-    and leaves None."""
+    the rows L^-1 k(X, cand). All three are None in the empty scan a parent
+    hands its child, and in a scan whose arrays the first child took."""
 
     cand: np.ndarray
-    jitter: float
     V: np.ndarray | None
     mean: np.ndarray | None
     var: np.ndarray | None
@@ -157,21 +159,27 @@ class GaussianProcess:
         # L^-1 and X's product_terms, built by the first posterior query
         self._L_inv = self._terms = None
         self._scan = None  # this state's query of a carried set
-        self._parent_scan = None  # its parent's, until this state takes it up
 
     @property
     def num_observations(self) -> int:
         return self.X.shape[0]
 
     def add_observation(self, x, y: float) -> "GaussianProcess":
-        """New state with (x, y) appended; factorization fully rebuilt."""
+        """New state with (x, y) appended; factorization fully rebuilt, and
+        this state's carried scan handed on: extended if it holds V and the
+        jitter is unchanged, else emptied for a full pass that keeps V."""
         if not np.isfinite(y):
             raise InvalidObservationError(f"non-finite observation {y}")
         x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
         X = np.vstack([self.X, x]) if self.num_observations else x
         yv = np.append(self.y, float(y))
         child = GaussianProcess(self.kernel, self.noise_sigma, X, yv)
-        child._parent_scan = self._scan
+        scan = self._scan
+        if scan is not None:
+            if scan.V is not None and child._jitter == self._jitter:
+                child._scan = child._extend(scan)
+            else:
+                child._scan = _Scan(scan.cand, None, None, None)
         return child
 
     def set_kernel(self, kernel: KernelSpec) -> "GaussianProcess":
@@ -197,25 +205,16 @@ class GaussianProcess:
         return scan.mean.copy(), np.clip(scan.var, 0.0, 1.0)
 
     def _carried_scan(self, cand: np.ndarray) -> _Scan:
-        """This state's scan of the read-only set cand: the one it holds,
-        or its parent's retained one extended, or a full pass, whose V is
-        retained if the parent scanned cand too."""
+        """This state's scan of the read-only set cand: the one it holds, or
+        a full pass, whose V is retained if the state holds an empty scan of
+        cand, handed on by a parent that scanned it."""
         scan = self._scan
         if scan is not None and scan.cand is cand and scan.mean is not None:
             return scan
-        parent, self._parent_scan = self._parent_scan, None
-        scanned = parent is not None and parent.cand is cand
-        if scanned and parent.V is not None and parent.jitter == self._jitter:
-            self._scan = self._extend(parent)
-        else:
-            # free a parent's kept mean and variance before the pass
-            # allocates: held through it, they left the grown V where
-            # _extend's resize had to copy it
-            del parent
-            mean, var, V = self._posterior_pass(cand)
-            # C-contiguous (t, n), which _extend's resize needs
-            V = V.T.copy() if scanned else None
-            self._scan = _Scan(cand, self._jitter, V, mean, var)
+        mean, var, V = self._posterior_pass(cand)
+        # C-contiguous (t, n), which _extend's resize needs
+        V = V.T.copy() if scan is not None and scan.cand is cand else None
+        self._scan = _Scan(cand, V, mean, var)
         return self._scan
 
     def _extend(self, parent: _Scan) -> _Scan:
@@ -231,14 +230,14 @@ class GaussianProcess:
         k = kernels.profile(sq)[:, 0]
         l = self._L[t - 1, :t]
         v = (k - l[: t - 1] @ V) / l[t - 1]
-        # resize reallocates; an array this large is remapped, not copied, so
-        # the old and the grown V are not both held (a copy would add V's
-        # size to peak memory)
+        # resize reallocates: remapped, not copied, while V has a mapping of
+        # its own, but copied every step once the allocator has put V on the
+        # heap (ROADMAP item 6: spare rows would end that dependence)
         V.resize((t, n), refcheck=False)
         V[t - 1] = v
         mean += v * self._z[t - 1]
         var -= v * v
-        return _Scan(parent.cand, self._jitter, V, mean, var)
+        return _Scan(parent.cand, V, mean, var)
 
     def _posterior_pass(self, Xq: np.ndarray):
         """Mean, unclipped variance and V (n, t), row i L^-1 k(X, x_i)."""

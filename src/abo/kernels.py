@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidSpecError, NumericalError
+from .errors import DimensionMismatchError, InvalidObservationError, InvalidSpecError, NumericalError
 
 GRAM_JITTER = 1e-10
 
@@ -44,7 +44,7 @@ def _check_points(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
             f"points have dimension {X.shape[-1]}, kernel expects {spec.dim}"
         )
     if not np.all(np.isfinite(X)):
-        raise DimensionMismatchError("points must be finite")
+        raise InvalidObservationError("points must be finite")
     return X
 
 

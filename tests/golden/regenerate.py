@@ -1,6 +1,7 @@
 """Regenerate the golden trace CSVs that ``tests/test_golden.py`` compares.
 
-Each case is one short run (15 iterations, seed 0) written with
+Each case is one short run (15 iterations, seed 0) on a preset problem, or
+on the objective a factory builds, written with
 ``cli.emit_trace``, after one ``#`` line naming the Python, NumPy and SciPy
 versions that made it. Regenerate only for a declared trace change:
 
@@ -9,6 +10,7 @@ versions that made it. Regenerate only for a declared trace change:
 
 from __future__ import annotations
 
+import functools
 import os
 import platform
 import sys
@@ -18,12 +20,15 @@ import scipy
 
 from abo import algorithms, cli
 from abo.algorithms import AlgorithmConfig
+from abo.kernels import KernelSpec
+from abo.objectives import make_gp_sample_function
 
 GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
 _MADE_WITH = "# made with "
 
-# name -> (problem, algorithm settings); the small constant beta makes the
-# adaptive schedule expand (g > 1) within the short runs
+# name -> (preset problem or objective factory, algorithm settings); the
+# small constant beta makes the adaptive schedule expand (g > 1) within the
+# short runs
 CASES = {
     f"agp_ucb_{estimator}_{map_mode}": (
         "example_rkhs",
@@ -58,12 +63,28 @@ CASES["agp_ucb_4d_combine_max"] = (
 CASES["agp_ucb_4d_off"] = (
     "synthetic_4d", dict(variant="agp_ucb", estimator="regret_bound", map_mode="off")
 )
+# a gp_sample objective; g reaches 3.5 with a new theta at every step
+CASES["gp_sample_one_step_combine_max"] = (
+    "gp_sample",
+    dict(variant="agp_ucb", estimator="one_step", map_mode="combine_max",
+         beta_mode="empirical", beta_constant=0.5),
+)
+# criterion 5's 2-d objective (a scrambled Sobol grid) and settings; h
+# reaches 1.645, so it comes from a bracketed solve
+CASES["agp_ucb_2d_regret_bound"] = (
+    functools.partial(make_gp_sample_function, KernelSpec([0.1, 0.1]),
+                      grid_size=56, target_norm=4.0, seed=0),
+    dict(variant="agp_ucb", b0=0.25, noise_sigma=1e-4, init_points=4),
+)
+# 4-d scans under kernels that shrink step by step, and empty carried scans
+CASES["wang_shrink_4d"] = ("synthetic_4d", dict(variant="wang_shrink", kappa=0.3))
 
 
 def write_trace(name: str, path: str) -> None:
     problem, settings = CASES[name]
+    objective = problem() if callable(problem) else cli.make_objective(problem, 0)
     config = AlgorithmConfig(name=name, iterations=15, seed=0, **settings)
-    cli.emit_trace(algorithms.run(cli.make_objective(problem, 0), config), path)
+    cli.emit_trace(algorithms.run(objective, config), path)
 
 
 def golden_path(name: str) -> str:

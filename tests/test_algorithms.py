@@ -185,10 +185,18 @@ class TestRunTraces:
             np.testing.assert_array_equal(maximize_ucb(gp, bs, seed=config.seed), X[i])
 
     @pytest.mark.parametrize(
-        "settings", [dict(variant="wang_shrink"), dict(estimator="one_step")],
-        ids=["wang_shrink", "one_step"],
+        "settings, more_than",
+        [
+            (dict(variant="wang_shrink"), 15),
+            (dict(estimator="one_step"), 15),
+            # a constant beta: the estimator's tries under one theta share
+            # one maximization, so a step may make only one
+            (dict(estimator="one_step", map_mode="combine_max",
+                  beta_mode="empirical", beta_constant=0.5), 0),
+        ],
+        ids=["wang_shrink", "one_step", "one_step_combine_max_empirical"],
     )
-    def test_no_repeated_ucb_maximization(self, monkeypatch, settings):
+    def test_no_repeated_ucb_maximization(self, monkeypatch, settings, more_than):
         calls = []
 
         def spy(gp, bs, seed=0):
@@ -198,7 +206,7 @@ class TestRunTraces:
         monkeypatch.setattr(algorithms, "maximize_ucb", spy)
         run(make_objective("example_rkhs", 0),
             AlgorithmConfig(iterations=15, seed=0, **settings))
-        assert len(calls) > 15
+        assert len(calls) > more_than
         assert len(set(calls)) == len(calls)
 
     def test_one_gp_and_scan_per_theta_per_step(self, monkeypatch, full_passes):

@@ -13,6 +13,7 @@ from abo.kernels import (
     product_terms,
     sq_distance_by_terms,
 )
+from abo.objectives import evaluate_objective
 
 # every kernel profile a parametrised test runs under, by nu; see use_profile
 PROFILES = pytest.mark.parametrize("nu", [None, 1.5, 2.5], ids=["se-None", "matern-1.5", "matern-2.5"])
@@ -90,7 +91,7 @@ class TestPosterior:
         )
         with pytest.raises(DimensionMismatchError):
             gp.posterior(np.zeros((3, 5)))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InvalidObservationError):
             gp.posterior([[np.nan, 0.5]])
 
     @pytest.mark.parametrize("t", [1, 25, 100])
@@ -379,6 +380,14 @@ class TestUpdates:
             make_gp().add_observation([0.0], np.nan)
         with pytest.raises(InvalidObservationError):
             make_gp().add_observation([0.0], np.inf)
+        # a non-finite input point is no dimension mismatch
+        for x in ([np.nan], [np.inf], [-np.inf]):
+            with pytest.raises(InvalidObservationError):
+                make_gp().add_observation(x, 1.0)
+        with pytest.raises(InvalidObservationError):
+            GaussianProcess(KernelSpec([1.0, 1.0]), 0.1, [[np.nan, 0.0]], [1.0])
+        with pytest.raises(InvalidObservationError):
+            evaluate_objective(cli.make_objective("example_rkhs", 0), [np.nan])
 
     def test_immutability(self):
         gp = make_gp()
