@@ -44,9 +44,9 @@ def decompose(h: float, lam: float, d: int) -> tuple[float, float]:
     g^d = 1 + eps_g and b = 1 + eps_b; for lam = 0 the whole expansion goes
     into the lengthscales.
     """
-    if h < 1:
+    if not 1 <= h < math.inf:
         raise ValueError(f"master scale h must be >= 1, got {h}")
-    if lam < 0:
+    if not 0 <= lam < math.inf:
         raise ValueError("lambda must be nonnegative")
     if lam == 0:
         eps_g = h - 1.0
@@ -70,11 +70,11 @@ def beta_sqrt(
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if noise_sigma < 0:
+    if not 0 <= noise_sigma < math.inf:
         raise ValueError("noise_sigma must be nonnegative")
-    if norm_bound <= 0:
+    if not 0 < norm_bound < math.inf:
         raise ValueError("norm_bound must be positive")
-    if mutual_info < 0:
+    if not 0 <= mutual_info < math.inf:
         raise ValueError("mutual_info must be nonnegative")
     return norm_bound + 4.0 * noise_sigma * math.sqrt(
         mutual_info + 1.0 + math.log(1.0 / delta)
@@ -106,7 +106,7 @@ class ScalingState:
         return self.theta0.shape[0]
 
     def accept(self, h: float) -> None:
-        if h < self.h_prev:
+        if not self.h_prev <= h < math.inf:
             raise ValueError("master scale must be nondecreasing")
         self.h_prev = h
 
@@ -119,7 +119,7 @@ def scaled_hyperparameters(s: ScalingState, h: float) -> Step:
 
 def reference_regret(s: ScalingState, t: int) -> float:
     """Sublinear reference curve p(t) = t^alpha."""
-    if t < 1:
+    if not 1 <= t < math.inf:
         raise ValueError("t must be >= 1")
     return float(t) ** s.reference_exponent
 

@@ -160,7 +160,7 @@ def maximize_ucb(
     tie-break) followed by coordinate refinement with a shrinking step; the
     result never scores below the best scan candidate.
     """
-    if beta_sqrt <= 0:
+    if not 0 < beta_sqrt < math.inf:
         raise ValueError("beta_sqrt must be positive")
 
     def acq(Xq):

@@ -135,13 +135,17 @@ def _build(section: str, cls, items: dict, **extra):
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse an INI-style experiment document; empty text gives defaults."""
-    parser = configparser.ConfigParser(default_section="__defaults__")
+    def read(source):
+        parser = configparser.ConfigParser(default_section="__defaults__")
+        parser.read_string(source)
+        return parser
+
     try:
-        # allow bare top-level keys by treating them as [experiment]
-        if text.lstrip().startswith("["):
-            parser.read_string(text)
-        else:
-            parser.read_string("[experiment]\n" + text)
+        try:
+            parser = read(text)
+        except configparser.MissingSectionHeaderError:
+            # bare top-level keys belong to [experiment]
+            parser = read("[experiment]\n" + text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 

@@ -132,7 +132,7 @@ class GaussianProcess:
     """
 
     def __init__(self, kernel: KernelSpec, noise_sigma: float, X=None, y=None):
-        if noise_sigma <= 0:
+        if not 0 < noise_sigma < math.inf:
             raise ValueError("noise_sigma must be positive")
         self.kernel = kernel
         self.noise_sigma = float(noise_sigma)
@@ -171,6 +171,10 @@ class GaussianProcess:
         if not np.isfinite(y):
             raise InvalidObservationError(f"non-finite observation {y}")
         x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
+        if x.shape[1] != self.kernel.dim:
+            raise DimensionMismatchError(
+                f"data dimension {x.shape[1]} != kernel dimension {self.kernel.dim}"
+            )
         X = np.vstack([self.X, x]) if self.num_observations else x
         yv = np.append(self.y, float(y))
         child = GaussianProcess(self.kernel, self.noise_sigma, X, yv)

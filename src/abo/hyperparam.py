@@ -34,7 +34,7 @@ class LengthscalePrior:
     rate: float = 10.0
 
     def __post_init__(self):
-        if self.shape <= 0 or self.rate <= 0:
+        if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
             raise ValueError("gamma shape and rate must be positive")
 
     @property
@@ -55,20 +55,16 @@ class MapResult:
 
 
 def _log_posterior(state: GaussianProcess, prior: LengthscalePrior):
-    """Memoized theta -> log posterior, bit-identical to a refit; -inf if singular."""
+    """theta -> log posterior, bit-identical to a refit; -inf if singular."""
     diff = state.X[:, None, :] - state.X[None, :, :]
-    memo: dict = {}
 
     def objective(theta: np.ndarray) -> float:
-        key = theta.tobytes()
-        if key not in memo:
-            K = kernels.profile(kernels.sq_distance(diff, theta))
-            try:
-                *_, lml = factorize(K, state.noise_sigma, state.y)
-                memo[key] = lml + prior.log_density(theta)
-            except SingularModelError:
-                memo[key] = -math.inf
-        return memo[key]
+        K = kernels.profile(kernels.sq_distance(diff, theta))
+        try:
+            *_, lml = factorize(K, state.noise_sigma, state.y)
+        except SingularModelError:
+            return -math.inf
+        return lml + prior.log_density(theta)
 
     return objective
 
@@ -98,38 +94,33 @@ def map_estimate(
     """MAP lengthscales via multi-start coordinate descent in log space.
 
     The search box is [1e-3, 100] per dimension, tightened to within one
-    decade of ``init``. Deterministic: five fixed starts, three coordinate
-    sweeps each, golden-section per coordinate. A line search depends only
-    on its coordinate and the others' values, so each is memoized per call
-    on those: the starts repeat the same searches, and in 1-d every search
-    is the same one. The log posterior is memoized per call too.
+    decade of ``init``. Deterministic: up to five fixed starts, in order
+    init, the prior mode, the box's geometric middle, init / 3 and init * 3,
+    each clipped to the box and run once however often it recurs; three
+    coordinate sweeps each, golden-section per coordinate. A line search
+    depends only on its coordinate and the others' values, so each is
+    memoized per call on those: the starts repeat the same searches, and in
+    1-d every search is the same one.
     """
     init = np.atleast_1d(np.asarray(init, dtype=float))
     d = init.shape[0]
     lo = np.maximum(BOX_LOW, init / TRUNCATION_FACTOR)
     hi = np.minimum(BOX_HIGH, init * TRUNCATION_FACTOR)
-    clip = lambda th: np.clip(th, lo, hi)
+    mode = np.full(d, prior.mode if prior.mode > 0 else BOX_LOW)
+    starts: dict = {}  # theta bytes -> start, in order, without repeats
+    for start in (init, mode, np.sqrt(lo * hi), init / 3.0, init * 3.0):
+        start = np.clip(start, lo, hi)
+        starts.setdefault(start.tobytes(), start)
     objective = _log_posterior(state, prior)
 
-    starts = [
-        clip(init),
-        clip(np.full(d, prior.mode if prior.mode > 0 else BOX_LOW)),
-        clip(np.sqrt(lo * hi)),
-        clip(init / 3.0),
-        clip(init * 3.0),
-    ]
-
-    best_theta = clip(init)
-    best_val = objective(best_theta)
-    if not math.isfinite(best_val):
-        log.warning("MAP objective non-finite at init; returning init")
-        return MapResult(best_theta, best_val)
-
+    best = None
     searches: dict = {}  # (i, theta without coordinate i) -> (x, f(x))
-    for start in starts:
-        theta = start.copy()
+    for theta in starts.values():
         val = objective(theta)
         if not math.isfinite(val):
+            if best is None:
+                log.warning("MAP objective non-finite at init; returning init")
+                return MapResult(theta, val)
             continue
         for _ in range(_SWEEPS):
             for i in range(d):
@@ -147,15 +138,15 @@ def map_estimate(
                 if fx > val:
                     theta[i] = math.exp(x)
                     val = fx
-        if val > best_val:
-            best_theta, best_val = theta, val
+        if best is None or val > best.log_posterior:
+            best = MapResult(theta, val)
 
-    return MapResult(best_theta, best_val)
+    return best
 
 
 def combine_max(theta_map, theta0, g: float) -> np.ndarray:
     """Elementwise min(theta_map, theta0 / g): schedule as an upper bound."""
-    if g < 1:
+    if not 1 <= g < math.inf:
         raise ValueError("g must be >= 1")
     theta_map = np.atleast_1d(np.asarray(theta_map, dtype=float))
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
@@ -164,5 +155,7 @@ def combine_max(theta_map, theta0, g: float) -> np.ndarray:
 
 def combine_scale(theta_map, g: float) -> np.ndarray:
     """Scale the MAP estimate itself down by max(g, 1)."""
+    if not g < math.inf:
+        raise ValueError(f"g must be finite, got {g}")
     theta_map = np.atleast_1d(np.asarray(theta_map, dtype=float))
     return theta_map / max(g, 1.0)

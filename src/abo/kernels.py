@@ -12,8 +12,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidObservationError, InvalidSpecError, NumericalError
 
-GRAM_JITTER = 1e-10
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -113,20 +111,4 @@ def rkhs_norm_of_expansion(spec: KernelSpec, centers, weights) -> float:
     q = float(w @ K @ w)
     if q < -1e-10:
         raise NumericalError(f"quadratic form {q} is negative beyond tolerance")
-    return float(np.sqrt(max(q, 0.0)))
-
-
-def interpolant_norm(spec: KernelSpec, grid, values) -> float:
-    """Norm of the minimum-norm interpolant through (grid, values).
-
-    Computes sqrt(v^T (K + GRAM_JITTER I)^{-1} v); a lower bound on the RKHS
-    norm of any function matching the values on the grid.
-    """
-    v = np.atleast_1d(np.asarray(values, dtype=float))
-    K = gram_matrix(spec, grid)
-    K = K + GRAM_JITTER * np.eye(K.shape[0])
-    from scipy.linalg import cho_factor, cho_solve
-
-    c, low = cho_factor(K, lower=True)
-    q = float(v @ cho_solve((c, low), v))
     return float(np.sqrt(max(q, 0.0)))

@@ -7,6 +7,7 @@ located numerically once, at construction time.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -142,7 +143,7 @@ def make_rkhs_function(
     kernel: KernelSpec, m: int, target_norm: float, seed: int
 ) -> ObjectiveSpec:
     """Random expansion with uniform centers, rescaled to the target norm."""
-    if m < 1 or target_norm <= 0:
+    if m < 1 or not 0 < target_norm < math.inf:
         raise InvalidSpecError("need m >= 1 and a positive target norm")
     d = kernel.dim
     for attempt in range(10):
@@ -177,6 +178,8 @@ def make_gp_sample_function(
     """
     if grid_size < 2:
         raise InvalidSpecError("grid_size must be >= 2")
+    if not 0 < target_norm < math.inf:
+        raise InvalidSpecError("need a positive target norm")
     d = kernel.dim
     rng = make_rng(seed, tag="gp-sample")
     if d == 1:

@@ -37,6 +37,30 @@ def use_profile(monkeypatch):
     return use
 
 
+GRAM_JITTER = 1e-10
+
+
+@pytest.fixture
+def interpolant_norm():
+    """norm(spec, grid, values): the norm of the minimum-norm interpolant
+    through (grid, values), sqrt(v^T (K + GRAM_JITTER I)^{-1} v); a lower
+    bound on the RKHS norm of any function matching the values on the grid.
+    A check on the library's kernels, not a library routine: the library
+    factorizes only through ``gp.chol_with_jitter``."""
+
+    def norm(spec, grid, values):
+        v = np.atleast_1d(np.asarray(values, dtype=float))
+        K = kernels.gram_matrix(spec, grid)
+        K = K + GRAM_JITTER * np.eye(K.shape[0])
+        from scipy.linalg import cho_factor, cho_solve
+
+        c, low = cho_factor(K, lower=True)
+        q = float(v @ cho_solve((c, low), v))
+        return float(np.sqrt(max(q, 0.0)))
+
+    return norm
+
+
 @pytest.fixture
 def full_passes(monkeypatch):
     """[queries, retained] of every full posterior pass; a pass is retained

@@ -15,7 +15,7 @@ import numpy as np
 from abo.adaptation import beta_sqrt
 from abo.algorithms import AlgorithmConfig, run
 from abo.gp import GaussianProcess
-from abo.kernels import KernelSpec, gram_matrix, interpolant_norm
+from abo.kernels import KernelSpec, gram_matrix
 from abo.objectives import bump_linear_preset, make_gp_sample_function, make_rkhs_function
 
 _cache: dict = {}
@@ -260,7 +260,7 @@ def test_criterion_7_schedule_algebra():
     )
 
 
-def test_criterion_8_norm_shrink_inequality():
+def test_criterion_8_norm_shrink_inequality(interpolant_norm):
     start = time.perf_counter()
     rng = np.random.default_rng(11)
     ok = True

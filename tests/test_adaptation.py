@@ -1,9 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from abo.adaptation import (
+    WANG_CAP,
     ScalingState,
     beta_sqrt,
     c1_constant,
@@ -196,6 +198,14 @@ class TestSolveH:
         for t in (1, 5, 50):
             assert solve_h(s, t, lambda h: 1e-6 * h) <= h_cap(t)
 
+    def test_bracket_failure_keeps_h_prev(self, caplog):
+        s = state()
+        s.accept(1.5)
+        # a NaN estimate passes neither endpoint test, and brentq rejects it
+        with caplog.at_level(logging.WARNING, logger="abo.adaptation"):
+            assert solve_h(s, 10, lambda h: math.nan) == 1.5
+        assert "bracket failed" in caplog.text
+
     def test_monotone_accept(self):
         s = state()
         s.accept(2.0)
@@ -242,6 +252,11 @@ class TestWangBaselineScale:
         gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1, [[0.5]], [0.0])
         sigma_at, _ = sigma_under(gp, np.array([0.5]))
         assert wang_baseline_scale(1e-12, sigma_at) == 1.0
+
+    def test_cap_reached(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="abo.adaptation"):
+            assert wang_baseline_scale(0.5, lambda c: 0.0) == WANG_CAP
+        assert "hit cap" in caplog.text
 
     def test_invalid_kappa(self):
         gp = GaussianProcess(KernelSpec(np.ones(1)), 0.1)

@@ -34,6 +34,16 @@ class TestConfig:
             AlgorithmConfig(delta=1.5)
         with pytest.raises(ValueError):
             AlgorithmConfig(beta_constant=0.0)
+        with pytest.raises(ValueError, match="beta_mode"):
+            AlgorithmConfig(beta_mode="nope")
+        for theta0 in (0.0, -1.0, np.nan, np.inf, (1.0, np.nan), ()):
+            with pytest.raises(ValueError, match="theta0"):
+                AlgorithmConfig(theta0=theta0)
+        for lam in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lambda"):
+                AlgorithmConfig(lam=lam)
+        with pytest.raises(ValueError, match="init_points"):
+            AlgorithmConfig(init_points=-1)
 
     def test_theta0_broadcast(self):
         np.testing.assert_array_equal(

@@ -39,6 +39,21 @@ class TestParseConfig:
         config = parse_config("iterations = 7\nseeds = 0, 1\n")
         assert config.iterations == 7 and config.seeds == [0, 1]
 
+    @pytest.mark.parametrize("comment", ["# experiment.ini\n", "; notes\n\n"])
+    def test_leading_comment(self, comment):
+        config = parse_config(comment + "[experiment]\niterations = 7\n")
+        assert config.iterations == 7
+        config = parse_config(comment + "iterations = 7\n")
+        assert config.iterations == 7
+
+    def test_readme_ini_blocks_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = readme.split("```ini\n")[1:]
+        assert blocks
+        for block in blocks:
+            config = parse_config(block.split("```")[0])
+            assert config.algorithms
+
     def test_algorithm_sections(self):
         text = """
 [experiment]

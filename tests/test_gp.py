@@ -386,8 +386,24 @@ class TestUpdates:
                 make_gp().add_observation(x, 1.0)
         with pytest.raises(InvalidObservationError):
             GaussianProcess(KernelSpec([1.0, 1.0]), 0.1, [[np.nan, 0.0]], [1.0])
+        for y in (np.nan, np.inf):
+            with pytest.raises(InvalidObservationError):
+                GaussianProcess(KernelSpec([1.0]), 0.1, [[0.0], [0.5]], [1.0, y])
         with pytest.raises(InvalidObservationError):
             evaluate_objective(cli.make_objective("example_rkhs", 0), [np.nan])
+
+    def test_wrong_dimension_rejected_on_any_state(self):
+        empty = make_gp(d=2)
+        for gp in (empty, empty.add_observation([0.1, 0.2], 1.0)):
+            for x in ([0.5], [0.1, 0.2, 0.3]):
+                with pytest.raises(DimensionMismatchError):
+                    gp.add_observation(x, 1.0)
+
+    def test_constructor_rejects_mismatched_data(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            GaussianProcess(KernelSpec([1.0]), 0.1, [[0.0], [0.5]], [1.0])
+        with pytest.raises(DimensionMismatchError):
+            GaussianProcess(KernelSpec([1.0, 1.0]), 0.1, [[0.0, 0.5, 1.0]], [1.0])
 
     def test_immutability(self):
         gp = make_gp()

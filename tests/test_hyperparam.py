@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -79,7 +80,7 @@ class TestLogPosterior:
         for theta in (np.full(d, 0.01), np.linspace(0.1, 0.7, d), np.full(d, 30.0)):
             expect = gp_path_log_posterior(state, prior, theta)
             assert objective(theta) == expect
-            assert objective(theta) == expect  # memoized value
+            assert objective(theta) == expect  # and again: no state between calls
 
     def test_minus_inf_where_factorization_fails(self, monkeypatch):
         X, y = sample_from(0.3, 5, seed=0)
@@ -163,6 +164,53 @@ class TestMapEstimate:
         a = map_estimate(gp, prior, init=np.ones(1))
         b = map_estimate(gp, prior, init=np.ones(1))
         assert np.array_equal(a.theta_map, b.theta_map)
+
+
+def stub_log_posterior(monkeypatch, value_at):
+    """Put value_at(theta) in place of the log posterior; returns the list
+    of every theta map_estimate evaluates, in order."""
+    seen = []
+
+    def log_posterior(state, prior):
+        def objective(theta):
+            seen.append(theta.copy())
+            return value_at(theta)
+
+        return objective
+
+    monkeypatch.setattr(hyperparam, "_log_posterior", log_posterior)
+    return seen
+
+
+class TestNonFiniteStarts:
+    def test_non_finite_init_is_returned(self, monkeypatch, caplog):
+        seen = stub_log_posterior(monkeypatch, lambda theta: -math.inf)
+        gp = GaussianProcess(KernelSpec(np.ones(2)), 0.1)
+        with caplog.at_level(logging.WARNING, logger="abo.hyperparam"):
+            result = map_estimate(gp, LengthscalePrior(), init=[0.5, 2.0])
+        np.testing.assert_array_equal(result.theta_map, [0.5, 2.0])
+        assert result.log_posterior == -math.inf and len(seen) == 1
+        assert "non-finite at init" in caplog.text
+
+    def test_non_finite_start_is_skipped(self, monkeypatch):
+        init = np.full(2, 0.005)
+        lo = np.maximum(hyperparam.BOX_LOW, init / hyperparam.TRUNCATION_FACTOR)
+        hi = np.minimum(hyperparam.BOX_HIGH, init * hyperparam.TRUNCATION_FACTOR)
+        mode = np.clip(np.full(2, LengthscalePrior().mode), lo, hi)  # the box's top
+
+        def value_at(theta):
+            if np.array_equal(theta, mode):
+                return -math.inf
+            return -float(np.sum(np.log(theta / 0.02) ** 2))
+
+        seen = stub_log_posterior(monkeypatch, value_at)
+        gp = GaussianProcess(KernelSpec(np.ones(2)), 0.1)
+        result = map_estimate(gp, LengthscalePrior(), init=init)
+        at = [k for k, theta in enumerate(seen) if np.array_equal(theta, mode)]
+        assert len(at) == 1
+        # no line search from the mode: the next start follows at once
+        np.testing.assert_array_equal(seen[at[0] + 1], np.sqrt(lo * hi))
+        assert math.isfinite(result.log_posterior)
 
 
 def every_line_search(state, prior, init):

@@ -6,7 +6,6 @@ from abo.kernels import (
     KernelSpec,
     cross_gram,
     gram_matrix,
-    interpolant_norm,
     product_terms,
     rkhs_norm_of_expansion,
     sq_distance_by_terms,
@@ -164,7 +163,7 @@ class TestRkhsNorm:
 
 
 class TestNormShrinkInequality:
-    def test_grid_interpolant_norm_bound(self):
+    def test_grid_interpolant_norm_bound(self, interpolant_norm):
         # shortening lengthscales by c grows the norm by at most c^(d/2)
         rng = np.random.default_rng(4)
         grid = np.linspace(0.0, 1.0, 200)[:, None]

@@ -125,6 +125,17 @@ class TestMakeGpSampleFunction:
             make_gp_sample_function(spec_1d(), grid_size=1, target_norm=4.0, seed=0)
 
 
+@pytest.mark.parametrize("norm", [-1.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "make",
+    [partial(make_rkhs_function, m=5), partial(make_gp_sample_function, grid_size=30)],
+    ids=["rkhs", "gp_sample"],
+)
+def test_target_norm_must_be_positive_and_finite(make, norm):
+    with pytest.raises(InvalidSpecError, match="positive target norm"):
+        make(spec_1d(), target_norm=norm, seed=0)
+
+
 class TestExtrema:
     @pytest.mark.parametrize(
         "make",
