@@ -97,9 +97,17 @@ class ScalingState:
     h_prev: float = 1.0
 
     def __post_init__(self):
-        self.theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
+        self.theta0 = theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
+        if theta0.size == 0 or not np.all((theta0 > 0) & (theta0 < math.inf)):
+            raise ValueError(f"theta0 must be positive and finite, got {theta0!r}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lambda must be nonnegative")
+        if not 0 < self.b0 < math.inf:
+            raise ValueError("b0 must be positive and finite")
         if not 0 < self.reference_exponent < 1:
             raise ValueError("reference exponent must lie in (0, 1)")
+        if not 1 <= self.h_prev < math.inf:
+            raise ValueError(f"master scale h must be >= 1, got {self.h_prev}")
 
     @property
     def dim(self) -> int:
@@ -161,8 +169,10 @@ def solve_h(s: ScalingState, t: int, estimator_eval) -> float:
     """Line-search h >= h_prev with estimator_eval(h) = p(t), capped.
 
     Returns h_prev if the estimated regret already exceeds the reference,
-    and the cap 1 + t^0.45 if even the capped scale stays below it. A
-    bracket failure (non-monotone estimator) falls back to h_prev.
+    and the cap 1 + t^0.45 if even the capped scale stays below it. An
+    h_prev at or above the cap, which a run never passes but a direct caller
+    may, is returned after one estimator call. A bracket failure
+    (non-monotone estimator) falls back to h_prev.
     """
     p = reference_regret(s, t)
     cap = h_cap(t)

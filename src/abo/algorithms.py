@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -63,6 +64,11 @@ class AlgorithmConfig:
     name: str = ""
 
     def __post_init__(self):
+        for key in ("iterations", "seed", "init_points"):
+            value = getattr(self, key)
+            # init_points None takes the default, 2^d
+            if not isinstance(value, numbers.Integral) and (key, value) != ("init_points", None):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.variant not in POLICIES:

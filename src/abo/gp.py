@@ -23,15 +23,14 @@ So the rows V = L^-1 k(X, cand), the mean and the variance extend by one
 row v = (k(cand, x_t) - l[:t-1] V) / l[t-1] in O(n t), in place of the
 full O(n t^2) pass. A state keeps the mean and variance of its query of
 the set, so querying it again (UCB under another beta) makes no second
-pass. It retains V as well only if its parent scanned the same set, so a
-kernel that changes every step never pays for V. ``add_observation`` hands
-the scan on at once: the child extends a scan that holds V, and otherwise
-gets an empty scan of the set, whose first query makes a full pass that
-keeps V. The kept arrays have one owner: the first child created takes
-them, a second child of the same parent finds the scan taken and rescans,
-and callers get copies. An extended row
-differs from a rescan's in the last bits (under 1e-12 over 120 steps), so
-traces keep their bits unless an argmax ties within that rounding.
+pass. A state made by ``add_observation`` keeps V as well, from its first
+full pass on; one from the constructor or ``set_kernel`` does not, so a
+kernel that changes every step never pays for V. ``add_observation`` moves
+the parent's scan to the child and extends it there if it holds V and the
+jitter is unchanged, so each scan has one owner and callers get copies. An
+extended row differs from a rescan's in the last bits (under 1e-12 over
+120 steps), so traces keep their bits unless an argmax ties within that
+rounding.
 
 Its results differ from the difference form's in the last bits. The Gram
 matrix, the MAP objective and the objectives' values keep the difference form
@@ -108,14 +107,13 @@ def factorize(K: np.ndarray, noise_sigma: float, y: np.ndarray):
 @dataclass(eq=False)
 class _Scan:
     """A state's query of a carried candidate set ``cand``: ``mean`` and
-    ``var`` the unclipped posterior there and, if retained, ``V`` (t, n)
-    the rows L^-1 k(X, cand). All three are None in the empty scan a parent
-    hands its child, and in a scan whose arrays the first child took."""
+    ``var`` the unclipped posterior there and, in a state made by
+    ``add_observation``, ``V`` (t, n) the rows L^-1 k(X, cand)."""
 
     cand: np.ndarray
     V: np.ndarray | None
-    mean: np.ndarray | None
-    var: np.ndarray | None
+    mean: np.ndarray
+    var: np.ndarray
 
 
 class GaussianProcess:
@@ -159,15 +157,16 @@ class GaussianProcess:
         # L^-1 and X's product_terms, built by the first posterior query
         self._L_inv = self._terms = None
         self._scan = None  # this state's query of a carried set
+        self._keeps_V = False  # set on the states add_observation makes
 
     @property
     def num_observations(self) -> int:
         return self.X.shape[0]
 
     def add_observation(self, x, y: float) -> "GaussianProcess":
-        """New state with (x, y) appended; factorization fully rebuilt, and
-        this state's carried scan handed on: extended if it holds V and the
-        jitter is unchanged, else emptied for a full pass that keeps V."""
+        """New state with (x, y) appended; factorization fully rebuilt. The
+        child keeps V, and this state's carried scan moves to it, extended
+        if it holds V and the jitter is unchanged, else dropped."""
         if not np.isfinite(y):
             raise InvalidObservationError(f"non-finite observation {y}")
         x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
@@ -178,12 +177,10 @@ class GaussianProcess:
         X = np.vstack([self.X, x]) if self.num_observations else x
         yv = np.append(self.y, float(y))
         child = GaussianProcess(self.kernel, self.noise_sigma, X, yv)
-        scan = self._scan
-        if scan is not None:
-            if scan.V is not None and child._jitter == self._jitter:
-                child._scan = child._extend(scan)
-            else:
-                child._scan = _Scan(scan.cand, None, None, None)
+        child._keeps_V = True
+        scan, self._scan = self._scan, None
+        if scan is not None and scan.V is not None and child._jitter == self._jitter:
+            child._scan = child._extend(scan)
         return child
 
     def set_kernel(self, kernel: KernelSpec) -> "GaussianProcess":
@@ -205,32 +202,28 @@ class GaussianProcess:
             return mean, np.clip(var, 0.0, 1.0, out=var)
         scan = self._carried_scan(Xq)
         # copies: the scan serves this state's later queries, and its arrays
-        # pass on to a child that extends them
+        # move on to a child that extends them
         return scan.mean.copy(), np.clip(scan.var, 0.0, 1.0)
 
     def _carried_scan(self, cand: np.ndarray) -> _Scan:
         """This state's scan of the read-only set cand: the one it holds, or
-        a full pass, whose V is retained if the state holds an empty scan of
-        cand, handed on by a parent that scanned it."""
-        scan = self._scan
-        if scan is not None and scan.cand is cand and scan.mean is not None:
-            return scan
+        a full pass, whose V is retained if add_observation made the state."""
+        if self._scan is not None and self._scan.cand is cand:
+            return self._scan
         mean, var, V = self._posterior_pass(cand)
         # C-contiguous (t, n), which _extend's resize needs
-        V = V.T.copy() if scan is not None and scan.cand is cand else None
-        self._scan = _Scan(cand, V, mean, var)
+        self._scan = _Scan(cand, V.T.copy() if self._keeps_V else None, mean, var)
         return self._scan
 
-    def _extend(self, parent: _Scan) -> _Scan:
-        """The parent's scan with this state's last observation added: the
-        factor gains one row l, so the new row of V is
-        (k(cand, x_t) - l[:t-1] V) / l[t-1]; O(n t). Takes the parent's arrays."""
-        V, mean, var = parent.V, parent.mean, parent.var
-        parent.V = parent.mean = parent.var = None
+    def _extend(self, scan: _Scan) -> _Scan:
+        """The parent's scan, moved here, with this state's last observation
+        added in place: the factor gains one row l, so the new row of V is
+        (k(cand, x_t) - l[:t-1] V) / l[t-1]; O(n t)."""
+        V = scan.V
         t = self.num_observations
         n = V.shape[1]
         ls = self.kernel.lengthscales
-        sq = kernels.sq_distance_by_terms(parent.cand, kernels.product_terms(self.X[t - 1 :], ls), ls)
+        sq = kernels.sq_distance_by_terms(scan.cand, kernels.product_terms(self.X[t - 1 :], ls), ls)
         k = kernels.profile(sq)[:, 0]
         l = self._L[t - 1, :t]
         v = (k - l[: t - 1] @ V) / l[t - 1]
@@ -239,9 +232,9 @@ class GaussianProcess:
         # heap (ROADMAP item 6: spare rows would end that dependence)
         V.resize((t, n), refcheck=False)
         V[t - 1] = v
-        mean += v * self._z[t - 1]
-        var -= v * v
-        return _Scan(parent.cand, V, mean, var)
+        scan.mean += v * self._z[t - 1]
+        scan.var -= v * v
+        return scan
 
     def _posterior_pass(self, Xq: np.ndarray):
         """Mean, unclipped variance and V (n, t), row i L^-1 k(X, x_i)."""

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import SingularModelError
+from .errors import DimensionMismatchError, SingularModelError
 from .gp import GaussianProcess, factorize
 
 log = logging.getLogger(__name__)
@@ -100,10 +100,17 @@ def map_estimate(
     coordinate sweeps each, golden-section per coordinate. A line search
     depends only on its coordinate and the others' values, so each is
     memoized per call on those: the starts repeat the same searches, and in
-    1-d every search is the same one.
+    1-d every search is the same one. ``init`` holds one positive, finite
+    lengthscale per dimension of the state.
     """
     init = np.atleast_1d(np.asarray(init, dtype=float))
     d = init.shape[0]
+    if init.shape != (state.kernel.dim,):
+        raise DimensionMismatchError(
+            f"init has shape {init.shape}, kernel dimension is {state.kernel.dim}"
+        )
+    if not np.all((init > 0) & (init < math.inf)):
+        raise ValueError(f"init must be positive and finite, got {init}")
     lo = np.maximum(BOX_LOW, init / TRUNCATION_FACTOR)
     hi = np.minimum(BOX_HIGH, init * TRUNCATION_FACTOR)
     mode = np.full(d, prior.mode if prior.mode > 0 else BOX_LOW)

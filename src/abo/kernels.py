@@ -21,8 +21,8 @@ class KernelSpec:
 
     def __post_init__(self):
         ls = np.atleast_1d(np.array(self.lengthscales, dtype=float, copy=True))
-        if ls.ndim != 1:
-            raise InvalidSpecError("lengthscales must be a 1-d vector")
+        if ls.ndim != 1 or ls.size == 0:
+            raise InvalidSpecError("lengthscales must be a nonempty 1-d vector")
         if not np.all(np.isfinite(ls)) or np.any(ls <= 0):
             raise InvalidSpecError(
                 f"lengthscales must be positive and finite, got {ls}"

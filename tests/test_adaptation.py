@@ -206,6 +206,19 @@ class TestSolveH:
             assert solve_h(s, 10, lambda h: math.nan) == 1.5
         assert "bracket failed" in caplog.text
 
+    @pytest.mark.parametrize("above", [0.0, 1.0], ids=["at-cap", "above-cap"])
+    def test_h_prev_at_or_above_cap_is_kept(self, above):
+        t = 4
+        s = state(h_prev=h_cap(t) + above)
+        seen = []
+
+        def estimator_eval(h):
+            seen.append(h)
+            return 0.0  # below p(t), so only the cap can stop the search
+
+        assert solve_h(s, t, estimator_eval) == s.h_prev
+        assert seen == [s.h_prev]
+
     def test_monotone_accept(self):
         s = state()
         s.accept(2.0)

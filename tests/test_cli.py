@@ -352,6 +352,29 @@ class TestCommandLine:
         assert err.startswith(f"error: cannot decode {undecodable}: ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    def test_run_reports_failed_runs(self, tmp_path, monkeypatch, capsys):
+        real_run = algorithms.run
+
+        def run(objective, config):
+            if config.seed == 0:
+                raise RuntimeError("objective exploded")
+            trace = real_run(objective, config)
+            trace.aborted = config.seed == 1
+            return trace
+
+        monkeypatch.setattr(algorithms, "run", run)
+        config = write_config(tmp_path, SMALL_CONFIG.replace("seeds = 0, 1", "seeds = 0, 1, 2"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "FAILED fixed seed=0: objective exploded",
+            "FAILED fixed seed=1: run fixed seed 1 aborted",
+        ]
+        assert captured.out.splitlines() == [f"completed 1/3 runs into {out}"]
+        summary = (out / "fixed_summary.csv").read_text().splitlines()
+        assert summary[1] == "# seeds: 1"
+
     @pytest.mark.parametrize("parallel", ["0", "-2"])
     def test_run_rejects_parallel_below_one(self, tmp_path, capsys, parallel):
         good = write_config(tmp_path, SMALL_CONFIG)

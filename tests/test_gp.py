@@ -200,8 +200,8 @@ class TestCarriedScan:
         for _ in range(120):
             gp = gp.add_observation(rng.uniform(size=d), rng.standard_normal())
             self.assert_matches_rescan(gp, cand)
-        # the first two scans are full, the second one retained
-        assert full_passes_over(full_passes, cand) == [False, True]
+        # one full scan, retained by the first child; every later step extends it
+        assert full_passes_over(full_passes, cand) == [True]
 
     def test_two_children_and_a_grandchild(self, full_passes):
         rng = np.random.default_rng(11)
@@ -279,12 +279,23 @@ class TestCarriedScan:
         assert np.array_equal(mean, ref_mean) and np.array_equal(var, ref_var)
         assert full_passes_over(full_passes, cand) == [False, True, True]
 
+    def test_add_observation_moves_the_scan(self):
+        rng = np.random.default_rng(18)
+        cand = read_only(rng.uniform(size=(300, 2)))
+        gp = self.five_points(rng).add_observation([0.4, 0.6], 0.2)
+        gp.posterior(cand)
+        scan = gp._scan
+        child = gp.add_observation([0.1, 0.3], -0.5)
+        assert gp._scan is None and child._scan is scan
+        assert scan.V.shape == (7, 300)
+        self.assert_matches_rescan(child, cand)
+
     def test_fixed_kernel_run_scans_fully_at_most_twice(self, full_passes):
         objective = cli.make_objective("synthetic_4d", 0)
         config = algorithms.AlgorithmConfig(variant="fixed_gp_ucb", iterations=12)
         algorithms.run(objective, config)
         cand = algorithms._scan_candidates(4, config.seed)
-        assert full_passes_over(full_passes, cand) == [False, True]
+        assert full_passes_over(full_passes, cand) == [True]
 
 
 class TestFactorization:
