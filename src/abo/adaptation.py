@@ -14,7 +14,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 log = logging.getLogger(__name__)
 
@@ -172,7 +171,9 @@ def solve_h(s: ScalingState, t: int, estimator_eval) -> float:
     and the cap 1 + t^0.45 if even the capped scale stays below it. An
     h_prev at or above the cap, which a run never passes but a direct caller
     may, is returned after one estimator call. A bracket failure
-    (non-monotone estimator) falls back to h_prev.
+    (non-monotone estimator) falls back to h_prev. Only a bracketed solve
+    imports ``brentq``, and with it ``scipy.optimize``, which ``import abo``
+    leaves out.
     """
     p = reference_regret(s, t)
     cap = h_cap(t)
@@ -183,6 +184,8 @@ def solve_h(s: ScalingState, t: int, estimator_eval) -> float:
         return lo
     if estimator_eval(cap) <= p:
         return cap
+    from scipy.optimize import brentq
+
     try:
         root = brentq(
             lambda h: estimator_eval(h) - p, lo, cap, rtol=H_SOLVE_RTOL

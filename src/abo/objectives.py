@@ -7,12 +7,14 @@ located numerically once, at construction time.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
+import scipy
 
 from . import kernels
 from .errors import InvalidSpecError
@@ -70,11 +72,62 @@ def evaluate_objective(spec: ObjectiveSpec, x):
     return float(vals[0]) if single else vals
 
 
+# SciPy's table behind qmc.Sobol: each dimension's primitive polynomial and
+# initial direction numbers (Joe & Kuo)
+_SOBOL_TABLE = os.path.join(
+    os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _sobol_directions(d: int) -> np.ndarray:
+    """(30, d) read-only direction numbers of qmc.Sobol(d)'s 30-bit points.
+
+    Dimension 0's are all 1; dimension i > 0 extends its initial numbers by
+    Bratley & Fox's (1988) recursion. Bits are shifted into place after it.
+    """
+    with np.load(_SOBOL_TABLE) as table:
+        poly, vinit = table["poly"], table["vinit"]
+    if not (np.issubdtype(type(d), np.integer) and 0 <= d <= len(poly)):
+        raise ValueError(f"d must be an integer in [0, {len(poly)}], got {d!r}")
+    v = np.ones((30, d), dtype=np.int64)
+    for i in range(1, d):
+        p = int(poly[i])
+        m = p.bit_length() - 1
+        col = vinit[i, :m].tolist()
+        for j in range(m, 30):
+            new = col[j - m]
+            for k in range(m):
+                if (p >> (m - 1 - k)) & 1:
+                    new ^= col[j - k - 1] << (k + 1)
+            col.append(new)
+        v[:, i] = col
+    v <<= np.arange(29, -1, -1)[:, None]
+    v.flags.writeable = False
+    return v
+
+
 def sobol_points(d: int, n: int, seed: int | None = None) -> np.ndarray:
-    """First n Sobol points in [0,1]^d, scrambled if seeded (no warnings)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # n need not be a power of two
-        return qmc.Sobol(d, scramble=seed is not None, seed=seed).random(n)
+    """First n Sobol points in [0,1]^d, scrambled if seeded (no warnings).
+
+    Unseeded points are built in Gray-code order from SciPy's own
+    direction-number file and equal ``qmc.Sobol(d, scramble=False)``'s bit
+    for bit. Seeded points come from ``qmc.Sobol(d, scramble=True)``, which
+    imports ``scipy.stats`` on first use. As with ``qmc``, n < 0 or d
+    outside [0, 21201] raises ValueError, and a non-integer n TypeError.
+    """
+    if seed is not None:
+        from scipy.stats import qmc
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # n need not be a power of two
+            return qmc.Sobol(d, scramble=True, seed=seed).random(n)
+    v = _sobol_directions(d)
+    x = np.zeros((n, d), dtype=np.int64)
+    # point k is point k - 1 XOR the column of k's lowest set bit
+    k = np.arange(1, n)
+    x[1:] = np.bitwise_xor.accumulate(v[np.frexp(k & -k)[1] - 1], axis=0)
+    return x * 2.0**-30
 
 
 def _extrema_on_cube(kernel, centers, weights):

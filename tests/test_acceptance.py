@@ -231,16 +231,24 @@ def test_criterion_7_schedule_algebra():
                 g, b = decompose(h, lam, d)
                 worst_product = max(worst_product, abs(g**d * b - h) / h)
 
+    # the defaults keep h = 1 on every step; B0 = 0.5 and sigma = 0.01 move it
     obj = bump_linear_preset()
-    trace = run(obj, AlgorithmConfig(iterations=20, seed=0))
-    bo = trace.bo_slice()
-    h_run = np.asarray(trace.h)[bo]
-    monotone = (
-        np.all(np.diff(h_run) >= 0)
-        and np.all(np.diff(np.asarray(trace.g)[bo]) >= 0)
-        and np.all(np.diff(np.asarray(trace.b)[bo]) >= 0)
-    )
-    capped = all(h_run[t - 1] <= h_cap(t) + 1e-12 for t in range(1, 21))
+    monotone = capped = True
+    for config in (
+        AlgorithmConfig(iterations=20, seed=0),
+        AlgorithmConfig(iterations=20, seed=0, b0=0.5, noise_sigma=0.01),
+    ):
+        trace = run(obj, config)
+        bo = trace.bo_slice()
+        h_run = np.asarray(trace.h)[bo]
+        monotone = monotone and bool(
+            np.all(np.diff(h_run) >= 0)
+            and np.all(np.diff(np.asarray(trace.g)[bo]) >= 0)
+            and np.all(np.diff(np.asarray(trace.b)[bo]) >= 0)
+        )
+        capped = capped and all(h_run[t - 1] <= h_cap(t) + 1e-12 for t in range(1, 21))
+    # so the checks above see a schedule that moves, not only constants
+    expanded = int(np.sum(h_run > 1.0))
 
     worst_root = 0.0
     for t, coef, power in [(10, 0.5, 2.0), (50, 0.2, 1.0), (200, 1.0, 3.0)]:
@@ -250,11 +258,15 @@ def test_criterion_7_schedule_algebra():
         h = solve_h(s, t, lambda hh: coef * hh**power)
         worst_root = max(worst_root, abs(h - analytic) / analytic)
 
-    ok = worst_product < 1e-9 and monotone and capped and worst_root < 1e-6
+    ok = (
+        worst_product < 1e-9 and monotone and capped and expanded > 10
+        and worst_root < 1e-6
+    )
     _report(
         7, "schedule algebra", ok,
         f"max relative product error = {worst_product:.2e} (tol 1e-9); "
         f"monotone: {monotone}; capped: {capped}; "
+        f"h > 1 on {expanded} of 20 adapting steps (need > 10); "
         f"max bisection-vs-analytic error = {worst_root:.2e} (tol 1e-6)",
         time.perf_counter() - start, 5.0,
     )

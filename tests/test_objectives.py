@@ -1,8 +1,10 @@
 import json
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from abo.cli import make_objective
 from abo.errors import InvalidSpecError
@@ -13,6 +15,7 @@ from abo.objectives import (
     evaluate_objective,
     make_gp_sample_function,
     make_rkhs_function,
+    sobol_points,
 )
 
 
@@ -134,6 +137,37 @@ class TestMakeGpSampleFunction:
 def test_target_norm_must_be_positive_and_finite(make, norm):
     with pytest.raises(InvalidSpecError, match="positive target norm"):
         make(spec_1d(), target_norm=norm, seed=0)
+
+
+def _qmc_points(d, n, seed=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # n need not be a power of two
+        return qmc.Sobol(d, scramble=seed is not None, seed=seed).random(n)
+
+
+class TestSobolPoints:
+    # the unseeded points are built from SciPy's private direction-number
+    # file; these pin them to qmc on each installed SciPy
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_unseeded_equals_qmc_bit_for_bit(self, d):
+        for n in (0, 1, 2, 3, 7, 100, 1024, 1280, 2048, 4096, 4352, 5000):
+            got, want = sobol_points(d, n), _qmc_points(d, n)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (d, n)
+
+    @pytest.mark.parametrize("d, n, seed", [(1, 64, 0), (2, 56, 7), (4, 100, 2**32 - 1)])
+    def test_seeded_equals_scrambled_qmc(self, d, n, seed):
+        assert sobol_points(d, n, seed).tobytes() == _qmc_points(d, n, seed).tobytes()
+
+    @pytest.mark.parametrize(
+        "d, n, error",
+        [(2, -1, ValueError), (21202, 4, ValueError), (2, 2.5, TypeError)],
+    )
+    def test_bad_input_raises_as_qmc(self, d, n, error):
+        with pytest.raises(error):
+            sobol_points(d, n)
+        with pytest.raises(error):
+            _qmc_points(d, n)
 
 
 class TestExtrema:
